@@ -52,10 +52,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
-try:  # numpy backs the batched preview ranking; scalar path works without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from ..model import Implementation, Instance, Schedule
 from .partial import PartialSchedule
@@ -63,13 +60,16 @@ from .partial import PartialSchedule
 __all__ = ["ISKOptions", "ISKResult", "ISKScheduler", "isk_schedule"]
 
 _ENGINES = ("trail", "copy")
-_PREVIEW_BACKENDS = ("vector", "scalar")
 
-#: Below this frontier size the numpy dispatch overhead of the batched
-#: preview outweighs the per-option Python arithmetic it replaces
-#: (measured crossover on the Table-I mix: the fill loop still costs
-#: ~1.5us/option either way, so only the max/add/sort vectorization is
-#: on the table and it needs a wide frontier to pay for dispatch).
+#: Frontier size from which the trail engine ranks options with the
+#: batched numpy preview instead of the per-option loop.  Below it the
+#: numpy dispatch overhead outweighs the per-option Python arithmetic it
+#: replaces (measured crossover on the Table-I mix: the fill loop still
+#: costs ~1.5us/option either way, so only the max/add/sort
+#: vectorization is on the table and it needs a wide frontier to pay
+#: for dispatch).  Both limbs produce the identical ranked list (same
+#: floats, same tie order), so this is a cost model, not a semantics
+#: switch.
 _VECTOR_PREVIEW_MIN = 48
 
 _INF_SCORE = (float("inf"), float("inf"))
@@ -91,14 +91,6 @@ class ISKOptions:
     greedy incumbent bound; ``jobs`` enables parallel first-level
     fan-out for k ≥ 2 (``-1`` = all CPUs; serial reduction is
     deterministic, so any worker count yields the same schedule).
-
-    ``preview`` picks the trail engine's option-ranking backend:
-    ``"vector"`` (default) previews the whole frontier in one numpy
-    pass — the per-region reconfiguration/controller-slot arithmetic is
-    computed once per region instead of once per option — while
-    ``"scalar"`` is the per-option reference loop.  Both produce the
-    identical ranked list (same floats, same tie order), so schedules
-    are bit-identical either way.
     """
 
     k: int = 1
@@ -109,7 +101,6 @@ class ISKOptions:
     engine: str = "trail"
     memo: bool = True
     incumbent_seed: bool = True
-    preview: str = "vector"
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -119,8 +110,6 @@ class ISKOptions:
             raise ValueError("branch_cap/node_limit must be >= 1")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
-        if self.preview not in _PREVIEW_BACKENDS:
-            raise ValueError(f"preview must be one of {_PREVIEW_BACKENDS}")
         if self.jobs < -1:
             raise ValueError("jobs must be >= -1")
 
@@ -381,11 +370,7 @@ class ISKScheduler:
         except ValueError:
             return []
         options = self._task_options(state, task_id)
-        if (
-            self.options.preview == "vector"
-            and _np is not None
-            and len(options) >= _VECTOR_PREVIEW_MIN
-        ):
+        if len(options) >= _VECTOR_PREVIEW_MIN:
             return self._ranked_options_vector(state, ready, options)
         ranked = [
             (self._preview_key(state, option, ready), option)

@@ -540,13 +540,7 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
         for path in args.schedule
     ]
     planner = Floorplanner.for_architecture(instance.architecture, engine=args.engine)
-    region_sets = [list(s.regions.values()) for s in schedules]
-    if len(region_sets) == 1:
-        results = [planner.check(region_sets[0])]
-    else:
-        # One batched call: the dominance prefilter answers all
-        # queries against a single snapshot of the entry store.
-        results = planner.check_batch(region_sets)
+    results = [planner.check(list(s.regions.values())) for s in schedules]
     all_feasible = True
     for path, result in zip(args.schedule, results):
         prefix = f"{path}: " if len(results) > 1 else ""
@@ -1104,8 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument(
         "schedule", nargs="+",
-        help="schedule JSON file(s); several are answered in one "
-        "batched floorplanner call",
+        help="schedule JSON file(s); several share one floorplanner, "
+        "so later ones can reuse earlier verdicts",
     )
     p.add_argument("--engine", default="backtrack", choices=["backtrack", "milp", "both"])
     p.add_argument(

@@ -30,9 +30,10 @@ def max_serial_time(taskgraph: TaskGraph) -> float:
 
     The length of the hypothetical schedule that runs every task
     serially with its fastest implementation; normalises the time term
-    of Eq. 3.
+    of Eq. 3.  Summed in sorted-id order, so the float result does not
+    depend on task insertion order.
     """
-    return sum(task.fastest().time for task in taskgraph)
+    return sum(task.fastest().time for task in sorted(taskgraph, key=lambda t: t.id))
 
 
 def implementation_cost(

@@ -79,13 +79,6 @@ class PAOptions:
         full CPM forward pass per reconfiguration.  Bit-identical
         results; ``False`` is the escape hatch for debugging and for
         the equivalence benchmarks.
-    timing:
-        Timing-pass backend: ``"vector"`` (default) runs forward and
-        backward longest-path propagation as per-level numpy segment
-        reductions when the graph is wide enough to pay for the array
-        dispatch (scalar otherwise — adaptive, bit-identical either
-        way); ``"scalar"`` forces the dict-loop passes everywhere (the
-        reference limb of the hot-path equivalence benchmarks).
     verify_incremental_timing:
         Cross-check every incremental earliest-start snapshot against a
         full recomputation (slow; used by tests).
@@ -113,16 +106,11 @@ class PAOptions:
     critical_tolerance: float = 1e-6
     incremental_timing: bool = True
     verify_incremental_timing: bool = False
-    timing: str = "vector"
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        from .timing import TIMING_BACKENDS
-
         if isinstance(self.ordering, str):
             self.ordering = TaskOrdering(self.ordering)
-        if self.timing not in TIMING_BACKENDS:
-            raise ValueError(f"timing must be one of {TIMING_BACKENDS}")
         if self.window_mode not in ("slot", "cpm"):
             raise ValueError("window_mode must be 'slot' or 'cpm'")
         if self.selection_policy not in ("cost", "fastest", "smallest", "adaptive"):

@@ -136,14 +136,12 @@ def schedule_reconfigurations(
     chains: list[list[str]] = [[] for _ in range(n_controllers)]
     controller_of: dict[str, int] = {}
 
-    backend = options.timing
-
     if incremental:
-        live = graph.begin_incremental(exe, backend=backend)
+        live = graph.begin_incremental(exe)
 
         def starts() -> dict[str, float]:
             if verify:
-                full = graph.earliest_starts(exe, backend=backend)
+                full = graph.earliest_starts(exe)
                 drift = max(
                     (abs(live.est[n] - full[n]) for n in full), default=0.0
                 )
@@ -156,7 +154,7 @@ def schedule_reconfigurations(
     else:
 
         def starts() -> dict[str, float]:
-            return graph.earliest_starts(exe, backend=backend)
+            return graph.earliest_starts(exe)
 
     # -- critical reconfigurations: chain in T_MIN order -----------------
     current = starts()

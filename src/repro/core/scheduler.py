@@ -103,7 +103,7 @@ def do_schedule(
 
     state.drop_empty_regions()
     tasks: dict[str, ScheduledTask] = {}
-    for task_id in state.taskgraph.task_ids:
+    for task_id in state.graph.nodes:
         impl = state.impl[task_id]
         start = plan.starts[task_id]
         if impl.is_hw:

@@ -44,8 +44,12 @@ class PAState:
         self.arch = architecture or instance.architecture
         self.taskgraph = instance.taskgraph
 
-        self.graph = PrecedenceGraph(self.taskgraph.task_ids)
-        for src, dst in self.taskgraph.edges():
+        # Sorted ids and arcs: every decision that breaks ties by graph
+        # order is then a function of the instance's content, not of the
+        # order its tasks were inserted (a generator object and its JSON
+        # round trip share one cache key, so they must share a schedule).
+        self.graph = PrecedenceGraph(sorted(self.taskgraph.task_ids))
+        for src, dst in sorted(self.taskgraph.edges()):
             comm = (
                 self.taskgraph.comm_cost(src, dst)
                 if self.options.communication_overhead
@@ -115,9 +119,7 @@ class PAState:
                 raise RuntimeError(
                     f"tasks without an implementation: {missing[:5]}"
                 )
-            self._timing = self.graph.compute_windows(
-                self.exe, backend=self.options.timing
-            )
+            self._timing = self.graph.compute_windows(self.exe)
         return self._timing
 
     def invalidate_timing(self) -> None:

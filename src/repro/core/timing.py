@@ -31,189 +31,14 @@ import heapq
 from collections import deque
 from typing import Iterable, Mapping
 
-try:  # numpy backs the vectorized timing kernel; scalar works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 __all__ = [
     "PrecedenceGraph",
     "CycleError",
     "TimingResult",
     "IncrementalStarts",
-    "DEFAULT_TIMING_BACKEND",
-    "TIMING_BACKENDS",
 ]
 
 EPS = 1e-9
-
-#: Backend registry for the timing passes (mirrors the ``engine=`` knob
-#: of the IS-k search).  ``"vector"`` — the default — runs forward and
-#: backward longest-path propagation as per-topological-level numpy
-#: segment reductions when the graph is wide enough to pay for the
-#: array dispatch, and falls back to the scalar loop otherwise; both
-#: paths are bit-identical (see ``_VectorSchedule``).
-TIMING_BACKENDS = ("vector", "scalar")
-DEFAULT_TIMING_BACKEND = "vector"
-
-#: Minimum average edges-per-level before the vector kernel engages.
-#: Measured on the Table I layered graphs: below ~24 edges per level
-#: the per-level numpy dispatch costs more than the scalar dict loop
-#: saves; the paper's deep-narrow graphs at n >= 400 also cross the
-#: level-count bound.  Both limbs are bit-identical, so this is purely
-#: a cost model, not a semantics switch.
-_VECTOR_MIN_WIDTH = 24
-_VECTOR_MAX_LEVELS = 72
-
-#: Same-version timing requests before the CSR schedule is built: the
-#: build is only worth paying when a version is queried repeatedly.
-_VECTOR_BUILD_TOUCHES = 3
-
-
-class _VectorSchedule:
-    """Per-version CSR level schedule backing the vector timing passes.
-
-    Built lazily on the *second* timing request at an unchanged graph
-    version ("second touch"): mutation-heavy call patterns (one pass
-    per inserted arc) never pay the build, while repeated-pass patterns
-    (implementation-selection sweeps, delay propagation, benchmarks)
-    amortize one build over many passes.
-
-    Bit-identity with the scalar loops: the forward candidate is
-    computed as ``(est[src] + exe[src]) + w`` — the scalar's exact
-    left-associated addition order — and segment max/min are exact on
-    floats, so every value matches the dict-based passes bit for bit.
-    """
-
-    __slots__ = (
-        "version", "ok", "nodes", "index", "n", "nlevels",
-        "fwd_levels", "bwd_levels",
-    )
-
-    def __init__(self, graph: "PrecedenceGraph") -> None:
-        self.version = graph._version
-        self.nodes = list(graph._nodes)
-        self.index = graph._index
-        n = self.n = len(self.nodes)
-        idx = self.index
-        order = graph.topological_order()
-
-        # Pure-python level computation first: it doubles as the cheap
-        # bail-out for narrow/deep graphs, before any array is built.
-        levels: dict[str, int] = {}
-        nlevels = 0
-        pred = graph._pred
-        for node in order:
-            level = 0
-            for p in pred[node]:
-                lp = levels[p]
-                if lp >= level:
-                    level = lp + 1
-            levels[node] = level
-            if level >= nlevels:
-                nlevels = level + 1
-        self.nlevels = nlevels
-
-        nedges = graph.edge_count()
-        self.ok = (
-            nedges >= _VECTOR_MIN_WIDTH * max(1, nlevels)
-            and nlevels <= _VECTOR_MAX_LEVELS
-        )
-        if not self.ok:
-            self.fwd_levels = self.bwd_levels = ()
-            return
-
-        src = _np.empty(nedges, dtype=_np.int64)
-        dst = _np.empty(nedges, dtype=_np.int64)
-        w = _np.empty(nedges, dtype=_np.float64)
-        lvl = _np.empty(n, dtype=_np.int64)
-        for node, level in levels.items():
-            lvl[idx[node]] = level
-        pos = 0
-        for s, outs in graph._succ.items():
-            si = idx[s]
-            for d, weight in outs.items():
-                src[pos] = si
-                dst[pos] = idx[d]
-                w[pos] = weight
-                pos += 1
-
-        self.fwd_levels = self._grouped(src, dst, w, lvl[dst], dst)
-        self.bwd_levels = self._grouped(dst, src, w, -lvl[src], src)
-
-    @staticmethod
-    def _grouped(read_end, write_end, w, level_key, group_key):
-        """Edges sorted by (level, group node); one entry per level:
-        ``(read_idx, w, segment_offsets, group_nodes)``."""
-        if not len(read_end):  # edgeless graph: no levels to relax
-            return ()
-        order = _np.lexsort((group_key, level_key))
-        s_read = read_end[order]
-        s_write = write_end[order]
-        s_w = w[order]
-        s_lvl = level_key[order]
-        # Segment starts: one per distinct write-end node within a level.
-        seg = _np.flatnonzero(_np.diff(s_write) != 0) + 1
-        seg = _np.concatenate(([0], seg)) if len(s_write) else seg
-        seg_node = s_write[seg] if len(s_write) else seg
-        seg_lvl = s_lvl[seg] if len(s_write) else seg
-        # Level boundaries over the segments.
-        cut = _np.flatnonzero(_np.diff(seg_lvl) != 0) + 1
-        bounds = _np.concatenate(([0], cut, [len(seg)]))
-        levels = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            e0 = int(seg[a])
-            e1 = int(seg[b]) if b < len(seg) else len(s_read)
-            levels.append(
-                (
-                    s_read[e0:e1],
-                    s_w[e0:e1],
-                    seg[a:b] - e0,
-                    seg_node[a:b],
-                )
-            )
-        return tuple(levels)
-
-    # -- passes -------------------------------------------------------------
-
-    def _exe_array(self, exe: Mapping[str, float]):
-        return _np.fromiter(
-            map(exe.__getitem__, self.nodes), dtype=_np.float64, count=self.n
-        )
-
-    def forward_array(self, exe_arr, lower_bounds: Mapping[str, float] | None):
-        est = _np.zeros(self.n)
-        if lower_bounds:
-            idx = self.index
-            for node, bound in lower_bounds.items():
-                i = idx.get(node)
-                if i is not None:
-                    est[i] = bound
-        for read_idx, w, offsets, group in self.fwd_levels:
-            cand = (est[read_idx] + exe_arr[read_idx]) + w
-            seg = _np.maximum.reduceat(cand, offsets)
-            est[group] = _np.maximum(est[group], seg)
-        return est
-
-    def backward_array(self, exe_arr, horizon: float):
-        lft = _np.full(self.n, horizon)
-        for read_idx, w, offsets, group in self.bwd_levels:
-            cand = (lft[read_idx] - exe_arr[read_idx]) - w
-            seg = _np.minimum.reduceat(cand, offsets)
-            lft[group] = _np.minimum(lft[group], seg)
-        return lft
-
-    def forward_dict(
-        self, exe: Mapping[str, float], lower_bounds: Mapping[str, float] | None
-    ) -> dict[str, float]:
-        est = self.forward_array(self._exe_array(exe), lower_bounds)
-        return dict(zip(self.nodes, est.tolist()))
-
-    def backward_dict(
-        self, exe: Mapping[str, float], horizon: float
-    ) -> dict[str, float]:
-        lft = self.backward_array(self._exe_array(exe), horizon)
-        return dict(zip(self.nodes, lft.tolist()))
 
 
 class CycleError(ValueError):
@@ -281,13 +106,6 @@ class PrecedenceGraph:
         self._order_cache: list[str] | None = None
         self._pos: dict[str, int] | None = None
         self._inc: "IncrementalStarts | None" = None
-        # Vectorized-pass cache: structure version, the CSR level
-        # schedule built for it, and the last version a timing pass saw
-        # (the second-touch build heuristic, see _VectorSchedule).
-        self._version = 0
-        self._vec: _VectorSchedule | None = None
-        self._vec_seen = -1
-        self._vec_touches = 0
 
     # -- construction ------------------------------------------------------
 
@@ -315,7 +133,6 @@ class PrecedenceGraph:
         self._nodes.append(node)
         self._succ[node] = {}
         self._pred[node] = {}
-        self._version += 1
         if self._order_cache is not None:
             self._pos[node] = len(self._order_cache)
             self._order_cache.append(node)
@@ -333,13 +150,11 @@ class PrecedenceGraph:
             if weight > existing:
                 self._succ[src][dst] = weight
                 self._pred[dst][src] = weight
-                self._version += 1
                 if self._inc is not None:
                     self._inc.propagate(dst)
             return
         self._succ[src][dst] = weight
         self._pred[dst][src] = weight
-        self._version += 1
         try:
             self._restore_order(src, dst)
         except CycleError:
@@ -468,7 +283,6 @@ class PrecedenceGraph:
         self,
         exe: Mapping[str, float],
         lower_bounds: Mapping[str, float] | None = None,
-        backend: str | None = None,
     ) -> "IncrementalStarts":
         """Attach a live earliest-start view updated on edge insertion.
 
@@ -481,7 +295,7 @@ class PrecedenceGraph:
         if self._inc is not None:
             raise RuntimeError("incremental starts already active")
         self.topological_order()  # materialize the order cache
-        self._inc = IncrementalStarts(self, exe, lower_bounds, backend=backend)
+        self._inc = IncrementalStarts(self, exe, lower_bounds)
         return self._inc
 
     def end_incremental(self) -> None:
@@ -490,54 +304,17 @@ class PrecedenceGraph:
 
     # -- timing passes ------------------------------------------------------------
 
-    def _vector_schedule(self, backend: str | None) -> "_VectorSchedule | None":
-        """The usable CSR level schedule, or ``None`` (→ scalar pass).
-
-        ``None`` when the backend is ``"scalar"``, numpy is missing,
-        the graph is too narrow for the array dispatch to pay off, or
-        the current graph version has seen fewer than
-        ``_VECTOR_BUILD_TOUCHES`` timing requests (mutation-heavy call
-        patterns never pay for a schedule they would use once).
-        """
-        resolved = backend or DEFAULT_TIMING_BACKEND
-        if resolved not in TIMING_BACKENDS:
-            raise ValueError(
-                f"timing backend must be one of {TIMING_BACKENDS}, "
-                f"got {resolved!r}"
-            )
-        if resolved != "vector" or _np is None or not self._nodes:
-            return None
-        vec = self._vec
-        if vec is not None and vec.version == self._version:
-            return vec if vec.ok else None
-        if self._vec_seen != self._version:
-            self._vec_seen = self._version
-            self._vec_touches = 1
-            return None
-        self._vec_touches += 1
-        if self._vec_touches < _VECTOR_BUILD_TOUCHES:
-            return None
-        vec = _VectorSchedule(self)
-        self._vec = vec
-        return vec if vec.ok else None
-
     def earliest_starts(
         self,
         exe: Mapping[str, float],
         lower_bounds: Mapping[str, float] | None = None,
-        backend: str | None = None,
     ) -> dict[str, float]:
         """Forward longest-path pass (CPM earliest starts).
 
         ``lower_bounds`` carries committed start times: a node never
         starts before its bound, which is how delays propagate through
-        the task graph (Sections V-F step 4 and V-G).  ``backend``
-        picks the scalar dict loop or the vectorized level schedule
-        (module default ``"vector"``); the results are bit-identical.
+        the task graph (Sections V-F step 4 and V-G).
         """
-        vec = self._vector_schedule(backend)
-        if vec is not None:
-            return vec.forward_dict(exe, lower_bounds)
         lb = lower_bounds or {}
         est: dict[str, float] = {}
         for node in self.topological_order():
@@ -553,12 +330,8 @@ class PrecedenceGraph:
         self,
         exe: Mapping[str, float],
         makespan: float,
-        backend: str | None = None,
     ) -> dict[str, float]:
         """Backward pass: latest end not delaying ``makespan``."""
-        vec = self._vector_schedule(backend)
-        if vec is not None:
-            return vec.backward_dict(exe, makespan)
         lft: dict[str, float] = {}
         for node in reversed(self.topological_order()):
             end = makespan
@@ -574,7 +347,6 @@ class PrecedenceGraph:
         exe: Mapping[str, float],
         lower_bounds: Mapping[str, float] | None = None,
         makespan: float | None = None,
-        backend: str | None = None,
     ) -> TimingResult:
         """Full CPM: windows ``[T_MIN, T_MAX]`` per node.
 
@@ -582,29 +354,10 @@ class PrecedenceGraph:
         by the earliest starts, which is the classic CPM convention and
         what Section V-B uses.
         """
-        vec = self._vector_schedule(backend)
-        if vec is not None:
-            # Fused array path: one exe-array build feeds both passes,
-            # and the implied makespan comes straight off the arrays
-            # (max is exact on floats, so the value matches the scalar
-            # generator expression bit for bit).
-            exe_arr = vec._exe_array(exe)
-            est_arr = vec.forward_array(exe_arr, lower_bounds)
-            implied = float((est_arr + exe_arr).max()) if self._nodes else 0.0
-            horizon = implied if makespan is None else max(makespan, implied)
-            lft_arr = vec.backward_array(exe_arr, horizon)
-            return TimingResult(
-                est=dict(zip(vec.nodes, est_arr.tolist())),
-                lft=dict(zip(vec.nodes, lft_arr.tolist())),
-                exe=dict(exe),
-                makespan=horizon,
-            )
-        # The scalar passes are requested explicitly so the nested calls
-        # do not advance the second-touch counter a second time.
-        est = self.earliest_starts(exe, lower_bounds, backend="scalar")
+        est = self.earliest_starts(exe, lower_bounds)
         implied = max((est[n] + exe[n] for n in self._nodes), default=0.0)
         horizon = implied if makespan is None else max(makespan, implied)
-        lft = self.latest_ends(exe, horizon, backend="scalar")
+        lft = self.latest_ends(exe, horizon)
         return TimingResult(est=est, lft=lft, exe=dict(exe), makespan=horizon)
 
 
@@ -620,7 +373,7 @@ class IncrementalStarts:
     phases (Sections V-C..V-G).
     """
 
-    __slots__ = ("_graph", "exe", "lower_bounds", "est", "backend",
+    __slots__ = ("_graph", "exe", "lower_bounds", "est",
                  "fallthrough_limit", "fallthroughs")
 
     def __init__(
@@ -628,17 +381,14 @@ class IncrementalStarts:
         graph: PrecedenceGraph,
         exe: Mapping[str, float],
         lower_bounds: Mapping[str, float] | None = None,
-        backend: str | None = None,
     ) -> None:
         self._graph = graph
         self.exe = exe
-        self.backend = backend
         self.lower_bounds = dict(lower_bounds or {})
-        self.est = graph.earliest_starts(exe, self.lower_bounds, backend=backend)
+        self.est = graph.earliest_starts(exe, self.lower_bounds)
         # When one dirty frontier touches more than this many nodes the
         # incremental repair costs more than a full pass — fall through
-        # to :meth:`PrecedenceGraph.earliest_starts` (which dispatches
-        # to the vectorized kernel when profitable).  Bit-identical
+        # to :meth:`PrecedenceGraph.earliest_starts`.  Bit-identical
         # either way: the view's invariant *is* the full pass.
         self.fallthrough_limit = max(32, len(graph._nodes) // 2)
         self.fallthroughs = 0
@@ -692,9 +442,7 @@ class IncrementalStarts:
             processed += 1
             if processed > self.fallthrough_limit:
                 self.fallthroughs += 1
-                self.est = self._graph.earliest_starts(
-                    self.exe, self.lower_bounds, backend=self.backend
-                )
+                self.est = self._graph.earliest_starts(self.exe, self.lower_bounds)
                 return
             _, node = heapq.heappop(heap)
             queued.discard(node)

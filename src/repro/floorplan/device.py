@@ -20,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-try:  # numpy backs the packed column geometry; the model works without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from ..model import Architecture, ResourceVector
 
@@ -115,18 +112,15 @@ class FabricDevice:
         state["candidate_cache_misses"] = 0
         return state
 
-    def packed_geometry(self) -> dict | None:
+    def packed_geometry(self) -> dict:
         """Per-kind column prefix sums as contiguous arrays (lazy).
 
         ``{kind: prefix}`` where ``prefix`` has ``width + 1`` entries
         and ``prefix[j]`` is the per-cell resource total of columns
         ``[0, j)`` of that kind — the form the vectorized
         candidate-window enumeration consumes (one ``searchsorted`` per
-        resource kind instead of a Python sliding window).  ``None``
-        when numpy is unavailable.
+        resource kind instead of a Python sliding window).
         """
-        if _np is None:
-            return None
         geometry = self._packed_geometry
         if geometry is None:
             width = self.width

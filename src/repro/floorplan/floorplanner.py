@@ -31,11 +31,6 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-try:  # numpy backs the batched dominance prefilter; scalar path works without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
-
 from ..model import Architecture, Region, ResourceVector
 from .backtrack import counting_precheck, solve_backtracking
 from .device import FabricDevice, FabricDevice as _Device, zynq_7z020
@@ -46,13 +41,7 @@ __all__ = [
     "FloorplanResult",
     "Floorplanner",
     "device_for_architecture",
-    "PROBE_BACKENDS",
 ]
-
-#: Dominance-probe backends: ``"vector"`` batches the necessary-condition
-#: prefilter over the whole index per query (scalar exact matching only on
-#: the survivors); ``"scalar"`` scans entry by entry (the reference limb).
-PROBE_BACKENDS = ("vector", "scalar")
 
 
 @dataclass
@@ -240,163 +229,6 @@ def _match_tuples(
     return match
 
 
-def _axis_profiles(
-    demands: Sequence[ResourceVector],
-) -> dict[str, tuple[int, ...]]:
-    """Per-axis descending value profiles of a demand multiset.
-
-    These are the invariants the packed prefilter compares: if multiset
-    ``S`` injects component-wise into multiset ``B``, then for every
-    axis ``a`` and every ``k < |S|`` the ``k``-th largest value of ``S``
-    on ``a`` is bounded by the ``k``-th largest of ``B`` — the injection
-    maps ``S``'s ``k`` largest-on-``a`` members to ``k`` *distinct*
-    members of ``B``, each at least as large on ``a``, so ``B``'s
-    ``k``-th largest is at least the smallest of those, which is at
-    least ``S``'s ``k``-th largest.  The converse does not hold (the
-    profiles cannot see cross-axis pairing conflicts), so the prefilter
-    is a necessary condition only; survivors still run the exact
-    injective matching.
-    """
-    per_axis: dict[str, list[int]] = {}
-    for demand in demands:
-        for axis in demand:
-            per_axis.setdefault(axis, [])
-    for axis, vals in per_axis.items():
-        for demand in demands:
-            vals.append(demand[axis])
-        vals.sort(reverse=True)
-    return {axis: tuple(vals) for axis, vals in per_axis.items()}
-
-
-class _PackedDominance:
-    """Contiguous mirror of one dominance store for batched prefilters.
-
-    Row ``i`` mirrors ``store[i]``: the entry's per-axis descending
-    value profiles laid out over the planner-global axis registry and
-    zero-padded to a common ``(A, K)`` shape, plus an axis-support
-    bitmask and the multiset length.  Because the profiles are
-    non-negative and each dominance direction only constrains positions
-    up to the *smaller* multiset's length, the zero padding makes every
-    out-of-range column auto-pass — so one broadcast ``<=`` over the
-    whole ``(N, A, K)`` block per direction is a sound
-    necessary-condition filter (see DESIGN.md §13).
-
-    The packed arrays are rebuilt lazily: appends write in place while
-    they fit (ring head/tail over a 2x capacity), and anything that
-    would not fit — a new resource axis, a longer multiset, a full
-    buffer — just drops the arrays for the next probe to rebuild.
-    """
-
-    __slots__ = (
-        "axis_pos", "rows", "sups", "lens",
-        "arr", "sup_arr", "len_arr", "head", "count",
-    )
-
-    def __init__(self, axis_pos: dict[str, int]) -> None:
-        self.axis_pos = axis_pos  # shared, planner-global axis registry
-        self.rows: list[dict[str, tuple[int, ...]]] = []
-        self.sups: list[int] = []
-        self.lens: list[int] = []
-        self.arr = None  # (capacity, A, K) int64, zero-padded
-        self.sup_arr = None
-        self.len_arr = None
-        self.head = 0
-        self.count = 0
-
-    def append(self, demands: Sequence[ResourceVector]) -> None:
-        row = _axis_profiles(demands)
-        sup = 0
-        for axis in row:
-            pos = self.axis_pos.get(axis)
-            if pos is None:
-                pos = len(self.axis_pos)
-                self.axis_pos[axis] = pos
-            sup |= 1 << pos
-        n = len(demands)
-        self.rows.append(row)
-        self.sups.append(sup)
-        self.lens.append(n)
-        if self.arr is None:
-            return
-        capacity, n_axes, width = self.arr.shape
-        fits = (
-            self.head + self.count < capacity
-            and n <= width
-            and all(self.axis_pos[a] < n_axes for a in row)
-        )
-        if not fits:
-            self.arr = self.sup_arr = self.len_arr = None
-            return
-        slot = self.head + self.count
-        self.arr[slot] = 0
-        for axis, cums in row.items():
-            self.arr[slot, self.axis_pos[axis], : len(cums)] = cums
-        self.sup_arr[slot] = sup
-        self.len_arr[slot] = n
-        self.count += 1
-
-    def pop_front(self) -> None:
-        self.rows.pop(0)
-        self.sups.pop(0)
-        self.lens.pop(0)
-        if self.arr is not None:
-            self.head += 1
-            self.count -= 1
-
-    def _ensure(self) -> bool:
-        """(Re)build the packed arrays; False when unavailable/empty."""
-        if _np is None or not self.rows:
-            return False
-        if self.arr is not None:
-            return True
-        n_axes = len(self.axis_pos)
-        width = max(self.lens) + 4  # slack so near-future appends fit
-        capacity = max(2 * len(self.rows), 64)
-        self.arr = _np.zeros((capacity, n_axes, width), dtype=_np.int64)
-        self.sup_arr = _np.zeros(capacity, dtype=_np.int64)
-        self.len_arr = _np.zeros(capacity, dtype=_np.int64)
-        for i, (row, sup, n) in enumerate(zip(self.rows, self.sups, self.lens)):
-            for axis, cums in row.items():
-                self.arr[i, self.axis_pos[axis], : len(cums)] = cums
-            self.sup_arr[i] = sup
-            self.len_arr[i] = n
-        self.head = 0
-        self.count = len(self.rows)
-        return True
-
-    def query_prefix(self, q_cums: dict[str, tuple[int, ...]]):
-        """The query's zero-padded ``(A, K)`` prefix block, or ``None``
-        when the query uses an axis no packed entry can support (then
-        the support mask would reject every row anyway)."""
-        if not self._ensure():
-            return None
-        _, n_axes, width = self.arr.shape
-        prefix = _np.zeros((n_axes, width), dtype=_np.int64)
-        for axis, cums in q_cums.items():
-            pos = self.axis_pos.get(axis)
-            if pos is None or pos >= n_axes:
-                # Axis unseen by any packed row: no entry supports it.
-                return None
-            cut = cums[:width]
-            prefix[pos, : len(cut)] = cut
-        return prefix
-
-    def candidates(self, q_prefix, q_sup: int, n_query: int, *, feasible: bool):
-        """Store indices passing the necessary-condition prefilter,
-        oldest-first (callers scan them newest-first)."""
-        arr = self.arr[self.head : self.head + self.count]
-        sup = self.sup_arr[self.head : self.head + self.count]
-        lens = self.len_arr[self.head : self.head + self.count]
-        mask = (q_sup & ~sup) == 0  # query axes ⊆ entry axes
-        if feasible:
-            mask &= lens >= n_query
-            mask &= (q_prefix[None, :, :] <= arr).all(axis=(1, 2))
-        else:
-            mask &= lens <= n_query
-            mask &= (arr <= q_prefix[None, :, :]).all(axis=(1, 2))
-        return _np.flatnonzero(mask)
-
-
 class Floorplanner:
     """Feasibility oracle over a :class:`FabricDevice`.
 
@@ -415,15 +247,6 @@ class Floorplanner:
         Monotone dominance index in front of the engines (requires
         ``cache``); ``False`` reproduces the PR-2 exact-key-only
         behaviour, which the cache benchmarks compare against.
-    probe:
-        Dominance-probe backend.  ``"vector"`` (default) answers the
-        necessary-condition prefilter for the whole index in one numpy
-        broadcast per direction and only runs the exact injective
-        matching on the survivors; ``"scalar"`` is the entry-by-entry
-        reference scan.  Both return bit-identical results — the
-        prefilter is provably necessary for a match (see
-        :func:`_axis_profiles`), so skipped entries could never have
-        answered the query.
     """
 
     #: Per-direction cap on the dominance index; oldest entries are
@@ -440,12 +263,9 @@ class Floorplanner:
         max_candidates: int | None = 400,
         cache: bool = True,
         dominance: bool = True,
-        probe: str = "vector",
     ) -> None:
         if engine not in ("backtrack", "milp", "both"):
             raise ValueError(f"unknown engine {engine!r}")
-        if probe not in PROBE_BACKENDS:
-            raise ValueError(f"probe must be one of {PROBE_BACKENDS}")
         self.device = device
         self.engine = engine
         self.node_limit = node_limit
@@ -453,26 +273,14 @@ class Floorplanner:
         self.max_candidates = max_candidates
         self._cache: dict | None = {} if cache else None
         self.dominance = dominance and cache
-        self.probe = probe
         self._dom_feasible: list[_DominanceEntry] = []
         self._dom_infeasible: list[_DominanceEntry] = []
-        # Packed mirrors of the two stores (one shared axis registry) —
-        # kept in sync regardless of the probe backend so the knob can
-        # be flipped at any time.
-        self._axis_pos: dict[str, int] = {}
-        self._pack_feasible = _PackedDominance(self._axis_pos)
-        self._pack_infeasible = _PackedDominance(self._axis_pos)
-        # FIFO eviction counters per store; check_batch uses them to
-        # tell which snapshot entries are still alive mid-batch.
-        self._dom_evicted = {"feasible": 0, "infeasible": 0}
         self.stats = {
             "queries": 0,
             "cache_hits": 0,
             "dominance_hits": 0,
             "dominance_feasible_hits": 0,
             "dominance_infeasible_hits": 0,
-            "prefilter_candidates": 0,
-            "prefilter_pruned": 0,
             "candidate_memo_hits": 0,
             "engine_time": 0.0,
             "query_time": 0.0,
@@ -504,110 +312,6 @@ class Floorplanner:
                 return self._finish(hit, t_query)
 
         return self._finish(self._solve_and_record(ids, demands, key), t_query)
-
-    def check_batch(
-        self, region_sets: Sequence[Sequence[Region | ResourceVector]]
-    ) -> list[FloorplanResult]:
-        """Answer many queries with one prefilter pass over the index.
-
-        Sequentially equivalent to ``[self.check(rs) for rs in
-        region_sets]`` — same results, same cache/index mutations in the
-        same order — but the dominance prefilter for *all* queries runs
-        as one broadcast against a snapshot of the packed index, so the
-        per-query numpy dispatch is paid once per batch.  Entries
-        inserted by earlier queries of the same batch (and snapshot
-        entries meanwhile evicted) are reconciled per query via the FIFO
-        eviction counters, preserving the exact newest-first probe
-        order.
-        """
-        queries = [_normalize(rs) for rs in region_sets]
-        use_vector = (
-            self.dominance
-            and self.probe == "vector"
-            and _np is not None
-            and len(queries) > 1
-        )
-        if not use_vector:
-            return [self.check(rs) for rs in region_sets]
-
-        snap_f = list(self._dom_feasible)
-        snap_i = list(self._dom_infeasible)
-        ev_f0 = self._dom_evicted["feasible"]
-        ev_i0 = self._dom_evicted["infeasible"]
-        q_cums = [_axis_profiles(demands) for _ids, demands in queries]
-        cand_f = self._batch_candidates(self._pack_feasible, q_cums, queries, True)
-        cand_i = self._batch_candidates(self._pack_infeasible, q_cums, queries, False)
-
-        results: list[FloorplanResult] = []
-        for qi, (ids, demands) in enumerate(queries):
-            t_query = _time.perf_counter()
-            self.stats["queries"] += 1
-            key = _cache_key(demands)
-            if self._cache is not None and key in self._cache:
-                self.stats["cache_hits"] += 1
-                cached: FloorplanResult = self._cache[key]
-                results.append(
-                    self._finish(_rebind(cached, ids, demands, self.device), t_query)
-                )
-                continue
-            n = len(demands)
-            views: dict = {}
-            hit = None
-            # Feasible store: entries born after the snapshot first
-            # (they are the newest), then surviving snapshot candidates.
-            delta = self._dom_evicted["feasible"] - ev_f0
-            for entry in reversed(self._dom_feasible[max(len(snap_f) - delta, 0):]):
-                hit = self._probe_feasible_entry(entry, ids, demands, n, views)
-                if hit is not None:
-                    break
-            if hit is None:
-                for i in reversed(cand_f[qi]):
-                    if i < delta:
-                        continue  # evicted mid-batch
-                    hit = self._probe_feasible_entry(
-                        snap_f[i], ids, demands, n, views
-                    )
-                    if hit is not None:
-                        break
-            if hit is None:
-                delta = self._dom_evicted["infeasible"] - ev_i0
-                for entry in reversed(
-                    self._dom_infeasible[max(len(snap_i) - delta, 0):]
-                ):
-                    hit = self._probe_infeasible_entry(entry, demands, n, views)
-                    if hit is not None:
-                        break
-            if hit is None:
-                for i in reversed(cand_i[qi]):
-                    if i < delta:
-                        continue
-                    hit = self._probe_infeasible_entry(snap_i[i], demands, n, views)
-                    if hit is not None:
-                        break
-            if hit is not None:
-                results.append(self._finish(hit, t_query))
-                continue
-            results.append(
-                self._finish(self._solve_and_record(ids, demands, key), t_query)
-            )
-        return results
-
-    def _batch_candidates(self, pack, q_cums, queries, feasible: bool):
-        """Per-query prefilter survivor lists against one store."""
-        out: list = []
-        for cums, (_ids, demands) in zip(q_cums, queries):
-            prefix = pack.query_prefix(cums)
-            if prefix is None:
-                out.append(())
-                continue
-            sup = 0
-            for axis in cums:
-                sup |= 1 << pack.axis_pos[axis]
-            idx = pack.candidates(prefix, sup, len(demands), feasible=feasible)
-            self.stats["prefilter_candidates"] += int(idx.size)
-            self.stats["prefilter_pruned"] += pack.count - int(idx.size)
-            out.append(idx.tolist())
-        return out
 
     def _solve_and_record(
         self, ids: list[str], demands: list[ResourceVector], key: tuple
@@ -668,9 +372,7 @@ class Floorplanner:
         n: int,
         views: dict,
     ) -> FloorplanResult | None:
-        """Exact feasible-superset test of one entry (shared by both
-        probe backends — the vector path only changes which entries are
-        offered, never how one is judged)."""
+        """Exact feasible-superset test of one entry."""
         if n > len(entry.demands):
             return None
         view = self._query_view(demands, entry.axes, views)
@@ -730,13 +432,7 @@ class Floorplanner:
     def _dominance_probe(
         self, ids: list[str], demands: list[ResourceVector]
     ) -> FloorplanResult | None:
-        if self.probe == "vector" and _np is not None:
-            return self._dominance_probe_vector(ids, demands)
-        return self._dominance_probe_scalar(ids, demands)
-
-    def _dominance_probe_scalar(
-        self, ids: list[str], demands: list[ResourceVector]
-    ) -> FloorplanResult | None:
+        """Scan both stores newest-first; the first dominating entry answers."""
         n = len(demands)
         views: dict = {}
         # Feasible superset: every query demand fits a distinct cached one.
@@ -749,47 +445,6 @@ class Floorplanner:
             hit = self._probe_infeasible_entry(entry, demands, n, views)
             if hit is not None:
                 return hit
-        return None
-
-    def _dominance_probe_vector(
-        self, ids: list[str], demands: list[ResourceVector]
-    ) -> FloorplanResult | None:
-        """Prefilter both stores in bulk, exact-match the survivors.
-
-        The packed prefilter is a *necessary* condition for either
-        dominance direction, so every entry it prunes would have failed
-        the exact test too — the first surviving hit (scanned
-        newest-first, feasible store before infeasible, exactly like the
-        scalar loop) is therefore the same entry the scalar probe finds.
-        """
-        n = len(demands)
-        q_cums = _axis_profiles(demands)
-        views: dict = {}
-        for pack, store, probe_one in (
-            (
-                self._pack_feasible,
-                self._dom_feasible,
-                lambda e: self._probe_feasible_entry(e, ids, demands, n, views),
-            ),
-            (
-                self._pack_infeasible,
-                self._dom_infeasible,
-                lambda e: self._probe_infeasible_entry(e, demands, n, views),
-            ),
-        ):
-            prefix = pack.query_prefix(q_cums)
-            if prefix is None:
-                continue
-            sup = 0
-            for axis in q_cums:
-                sup |= 1 << pack.axis_pos[axis]
-            idx = pack.candidates(prefix, sup, n, feasible=pack is self._pack_feasible)
-            self.stats["prefilter_candidates"] += int(idx.size)
-            self.stats["prefilter_pruned"] += pack.count - int(idx.size)
-            for i in idx[::-1]:
-                hit = probe_one(store[i])
-                if hit is not None:
-                    return hit
         return None
 
     def _dominance_insert(
@@ -806,11 +461,9 @@ class Floorplanner:
             if result.placements is not None:
                 placements = tuple(result.placements[i] for i in ids)
             store = self._dom_feasible
-            pack, direction = self._pack_feasible, "feasible"
         elif result.proven:
             placements = None
             store = self._dom_infeasible
-            pack, direction = self._pack_infeasible, "infeasible"
         else:
             return
         axes = _axes_of(demands)
@@ -826,11 +479,8 @@ class Floorplanner:
                 totals=totals,
             )
         )
-        pack.append(demands)
         if len(store) > self.DOMINANCE_LIMIT:
             del store[0]
-            pack.pop_front()
-            self._dom_evicted[direction] += 1
 
     # -- warm start (parallel PA-R) -----------------------------------------
 

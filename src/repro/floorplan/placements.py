@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # numpy speeds enumeration/pruning; the scalar sweeps work without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from ..model import ResourceVector
 from .device import FabricDevice
@@ -230,14 +227,11 @@ def candidate_placements(
     needed = {r: demand[r] for r in demand}
     if not needed:
         raise ValueError("placement demand must be non-empty")
-    windows = (
-        _minimal_windows_vector if _np is not None else _minimal_windows_scalar
-    )
     candidates: list[Placement] = []
     for height in range(1, device.rows + 1):
         # Minimal window per anchor column: per-column supply scales
         # linearly with height, so each height is an independent sweep.
-        for left, w in windows(device, needed, height):
+        for left, w in _minimal_windows_vector(device, needed, height):
             for row in range(0, device.rows - height + 1):
                 candidates.append(
                     Placement(col=left, row=row, width=w, height=height)
@@ -246,7 +240,7 @@ def candidate_placements(
     candidates.sort(
         key=lambda p: (p.width * p.height, p.width, p.col, p.row)
     )
-    if _np is not None and len(candidates) >= 24:
+    if len(candidates) >= 24:
         candidates = _prune_contained_vector(candidates)
     else:
         candidates = _prune_contained(candidates)

@@ -1,8 +1,8 @@
 """Phase-level profiling for the scheduling pipeline.
 
-The perf-optimisation work (vectorized timing kernel, batched floorplan
-queries, IS-k preview ranking) claims speedups; this module is how the
-claims are *measured* instead of asserted.  Two layers:
+This module shows where one run's time goes, phase by phase; whether a
+speedup counts is decided on the end-to-end ledger
+(``benchmarks/e2e``), not here.  Two layers:
 
 * hand-placed **phase markers** — ``with phase("mapping"): ...`` at the
   coarse pipeline boundaries (the eight PA steps, the floorplan check,

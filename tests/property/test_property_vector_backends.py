@@ -1,19 +1,13 @@
-"""Scalar/vector backend equivalence properties (the perf-PR contract).
+"""Exactness properties of the fast hot paths.
 
-The vectorized hot paths — the CPM level-schedule kernel, the packed
-dominance prefilter, the minimal-window enumeration — all claim
-*bit-identical* results to their scalar references.  These properties
-hammer that claim over random inputs; any drift is a correctness bug,
-not a tolerance issue, so comparisons are exact (``==``), never
-approximate.
+The incremental earliest-start view must equal the full CPM pass, and
+the vectorized minimal-window enumeration and containment pruning must
+equal their scalar sweeps.  Any drift is a correctness bug, not a
+tolerance issue, so comparisons are exact (``==``), never approximate.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.core import timing as timing_mod
 from repro.core.timing import PrecedenceGraph
 from repro.floorplan.device import small_device
 from repro.floorplan.placements import (
@@ -23,73 +17,6 @@ from repro.floorplan.placements import (
     _prune_contained_vector,
     Placement,
 )
-
-
-@pytest.fixture(autouse=True)
-def force_vector_kernel(monkeypatch):
-    """Make the vector timing kernel engage on tiny random graphs.
-
-    Production gates it behind a width heuristic and a touch counter;
-    the equivalence contract must hold regardless, so the properties
-    disable both gates.
-    """
-    monkeypatch.setattr(timing_mod, "_VECTOR_MIN_WIDTH", 0)
-    monkeypatch.setattr(timing_mod, "_VECTOR_MAX_LEVELS", 10_000)
-    monkeypatch.setattr(timing_mod, "_VECTOR_BUILD_TOUCHES", 1)
-
-
-@st.composite
-def weighted_dags(draw):
-    """A random weighted DAG over a natural order, plus lower bounds."""
-    n = draw(st.integers(min_value=1, max_value=14))
-    graph = PrecedenceGraph([f"n{i}" for i in range(n)])
-    for dst in range(1, n):
-        for src in range(dst):
-            if draw(st.booleans()):
-                weight = draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
-                graph.add_edge(f"n{src}", f"n{dst}", weight)
-    exe = {
-        f"n{i}": draw(st.floats(min_value=0.5, max_value=50.0, allow_nan=False))
-        for i in range(n)
-    }
-    bounds = {
-        f"n{i}": draw(st.floats(min_value=0.0, max_value=30.0, allow_nan=False))
-        for i in range(n)
-        if draw(st.booleans())
-    }
-    return graph, exe, bounds
-
-
-@given(weighted_dags())
-def test_forward_pass_bit_identical(dag):
-    graph, exe, bounds = dag
-    scalar = graph.earliest_starts(exe, bounds, backend="scalar")
-    # Touch twice: the first vector request only arms the counter.
-    graph.earliest_starts(exe, bounds, backend="vector")
-    vector = graph.earliest_starts(exe, bounds, backend="vector")
-    assert vector == scalar  # exact, not approximate
-
-
-@given(weighted_dags())
-def test_backward_pass_bit_identical(dag):
-    graph, exe, bounds = dag
-    est = graph.earliest_starts(exe, backend="scalar")
-    horizon = max(est[n] + exe[n] for n in graph.nodes)
-    scalar = graph.latest_ends(exe, horizon, backend="scalar")
-    graph.latest_ends(exe, horizon, backend="vector")
-    vector = graph.latest_ends(exe, horizon, backend="vector")
-    assert vector == scalar
-
-
-@given(weighted_dags())
-def test_compute_windows_bit_identical(dag):
-    graph, exe, bounds = dag
-    scalar = graph.compute_windows(exe, bounds, backend="scalar")
-    graph.earliest_starts(exe, backend="vector")  # arm the touch counter
-    vector = graph.compute_windows(exe, bounds, backend="vector")
-    assert vector.est == scalar.est
-    assert vector.lft == scalar.lft
-    assert vector.makespan == scalar.makespan
 
 
 @st.composite
@@ -113,18 +40,18 @@ def incremental_scenarios(draw):
 @settings(max_examples=60)
 def test_incremental_starts_track_full_pass(scenario, fallthrough_limit):
     """The live view equals the full pass after every insertion, for a
-    tiny fall-through limit (every propagate falls through to the — here
-    vectorized — full pass) and a huge one (pure frontier repair)."""
+    tiny fall-through limit (every propagate falls through to the full
+    pass) and a huge one (pure frontier repair)."""
     n, base_edges, later_edges, exe = scenario
     graph = PrecedenceGraph([f"n{i}" for i in range(n)])
     for src, dst in base_edges:
         graph.add_edge(f"n{src}", f"n{dst}")
-    live = graph.begin_incremental(exe, backend="vector")
+    live = graph.begin_incremental(exe)
     live.fallthrough_limit = fallthrough_limit
     try:
         for src, dst in later_edges:
             graph.add_edge(f"n{src}", f"n{dst}")
-            full = graph.earliest_starts(exe, backend="scalar")
+            full = graph.earliest_starts(exe)
             assert live.snapshot() == full
     finally:
         graph.end_incremental()

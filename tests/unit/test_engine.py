@@ -84,6 +84,7 @@ class TestRegistry:
     def test_unknown_option_rejected(self, instance):
         for algorithm, opts in [
             ("pa", {"bogus_knob": 1}),
+            ("pa", {"timing": "scalar"}),
             ("is-1", {"floorplan": True}),
             ("list", {"node_limit": 5}),
             ("exhaustive", {"branch_cap": 5}),

@@ -233,6 +233,11 @@ class TestBadRequests:
                 {"algorithm": "pa"},  # no instance
                 {"instance": "a/path.json"},  # path, not inline
                 {"instance": instance.to_dict(), "nope": 1},  # unknown field
+                {  # unknown option
+                    "instance": instance.to_dict(),
+                    "algorithm": "pa",
+                    "options": {"timing": "scalar"},
+                },
             ):
                 status, body, _ = client.request_raw(
                     "POST", "/schedule", payload
