@@ -83,8 +83,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_json(path: str, what: str, from_dict):
+    """``from_dict`` of the JSON in ``path``.
+
+    Raises ``ValueError("malformed <what> JSON: ...")`` when the file is
+    not JSON or its payload has the wrong shape; only the load step is
+    guarded, so errors from later steps keep their own type."""
+    try:
+        return from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        problem = f"missing key {exc.args[0]!r}"
+    except (AttributeError, TypeError, ValueError) as exc:
+        problem = str(exc)
+    raise ValueError(f"malformed {what} JSON: {problem}")
+
+
 def _load_instance(path: str) -> Instance:
-    return Instance.from_dict(json.loads(Path(path).read_text()))
+    return _load_json(path, "instance", Instance.from_dict)
 
 
 def _schedule_request(args: argparse.Namespace, instance: Instance) -> ScheduleRequest:
@@ -595,9 +610,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     from .sim import FaultPlan, RecoveryPolicy, jitter_model, simulate
 
-    instance = _load_instance(args.instance)
-    schedule = Schedule.from_dict(json.loads(Path(args.schedule).read_text()))
     try:
+        instance = _load_instance(args.instance)
+        schedule = _load_json(args.schedule, "schedule", Schedule.from_dict)
         jitter = (
             jitter_model(args.jitter, seed=args.seed) if args.jitter > 0 else None
         )
@@ -667,7 +682,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
     try:
         if args.trace_file:
-            trace = ArrivalTrace.from_json(Path(args.trace_file).read_text())
+            trace = _load_json(args.trace_file, "trace", ArrivalTrace.from_dict)
         elif args.feasible:
             trace = feasible_trace(seed=args.seed, jobs=args.arrivals)
         else:

@@ -26,17 +26,20 @@ preemption, or when enough stale arcs accumulated (re-assignments make
 old serialization arcs pessimistic-only).  The incremental path is the
 common case; ``benchmarks/bench_online.py`` asserts its share.
 
-**Executor** (time-ordered dispatch).  The same discrete-event scheme
-as :class:`repro.sim.executor._Engine`: among all runnable queue heads
-the earliest derived start fires first (deterministic tie-break), with
-external events (arrivals, departures, deadlines, region deaths)
-interleaved at their instants.  Reconfigurations are derived at
-dispatch — when a region's queue head needs a module other than the
-one loaded — so module reuse needs no bookkeeping.  Transient task and
-bitstream-load faults run the PR-1 recovery ladder, promoted to the
-common case: bounded retry with backoff, then SW fallback, then
-*online repair* (an incremental re-placement of the victim on the
-surviving fabric); a feasible workload is never aborted.
+**Executor** (time-ordered dispatch).  :class:`OnlineRuntime` is a
+policy over the dispatch kernel :class:`repro.sim.dispatch.Dispatcher`,
+the same loop that replays static plans in :mod:`repro.sim`: among all
+runnable queue heads the earliest derived start fires first
+(deterministic tie-break), with external events (arrivals, departures,
+deadlines, region deaths) interleaved at their instants.  The policy
+supplies the queue heads and what a dispatch does; the kernel owns the
+loop, the attempt chain and the deadlock diagnosis.  Reconfigurations
+are derived at dispatch — when a region's queue head needs a module
+other than the one loaded — so module reuse needs no bookkeeping.
+Transient task and bitstream-load faults run the PR-1 recovery ladder,
+promoted to the common case: bounded retry with backoff, then SW
+fallback, then *online repair* (an incremental re-placement of the
+victim on the surviving fabric); a feasible workload is never aborted.
 
 **Preemption.**  A high-priority arrival predicted to miss its
 deadline may preempt a running lower-priority HW task: the region's
@@ -60,7 +63,7 @@ the optimism never affects executed times.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..baselines.partial import PartialSchedule, RegionState
 from ..core.timing import CycleError, IncrementalStarts, PrecedenceGraph
@@ -71,8 +74,8 @@ from ..model import (
     Task,
     TaskGraph,
 )
-from ..sim.events import ExecutionEvent, ExecutionTrace
-from ..sim.executor import EPS, DeadlockError, SimulatedActivity
+from ..sim.dispatch import EPS, Candidate, Dispatcher, SimulatedActivity
+from ..sim.events import ExecutionTrace
 from ..sim.faults import FaultPlan
 from ..sim.recovery import RecoveryPolicy
 from .checkpoint import CheckpointModel
@@ -271,7 +274,7 @@ class _Unplaceable(Exception):
 # --------------------------------------------------------------------------
 
 
-class OnlineRuntime:
+class OnlineRuntime(Dispatcher):
     """One online execution of an arrival trace (see module docstring)."""
 
     def __init__(
@@ -284,21 +287,21 @@ class OnlineRuntime:
         full_replan_threshold: int = 12,
         on_event=None,
     ) -> None:
-        if faults is not None and not faults:
-            faults = None
+        super().__init__(
+            TaskGraph(name=f"online:{trace.name}"),
+            faults,
+            policy or RecoveryPolicy(),
+            on_event,
+        )
         self.src = trace
         self.arch = trace.architecture
-        self.faults = faults
-        self.policy = policy or RecoveryPolicy()
         self.ckpt = checkpoint or CheckpointModel()
         self.preemption = preemption
         self.full_replan_threshold = max(1, full_replan_threshold)
-        self.on_event = on_event
 
-        self.workload = TaskGraph(name=f"online:{trace.name}")
         self.instance = Instance(
             architecture=self.arch,
-            taskgraph=self.workload,
+            taskgraph=self.graph,
             name=f"online:{trace.name}",
         )
 
@@ -311,18 +314,10 @@ class OnlineRuntime:
         ]
         self.proc_free: list[float] = [0.0] * self.arch.processors
         self.ctrl_free: list[float] = [0.0] * self.arch.reconfigurators
-        self.pool: list[str] = []
 
-        self.task_start: dict[str, float] = {}
-        self.task_end: dict[str, float] = {}
         self.plan_end: dict[str, float] = {}
-        self.resolved: dict[str, float] = {}  # failed / skipped / cancelled
-        self.failed: set[str] = set()
-        self.skipped: set[str] = set()
-        self.cancelled: set[str] = set()
+        self.cancelled: set[str] = set()  # also in ``resolved``
 
-        self.activities: list[SimulatedActivity] = []
-        self.trace = ExecutionTrace()
         self.replans: list[tuple[str, float]] = []
         self.stale_arcs = 0
 
@@ -333,8 +328,7 @@ class OnlineRuntime:
 
         # external event stream, fully known upfront (deterministic)
         self._job_index = {job.job_id: job for job in trace.jobs}
-        self.events = self._external_events()
-        self.cursor = 0
+        self.external = self._external_events()
 
     # -- external events -----------------------------------------------------
 
@@ -350,29 +344,6 @@ class OnlineRuntime:
             for t, rid in self.faults.region_deaths():
                 out.append((t, 1, rid))
         return sorted(out)
-
-    # -- event emission ------------------------------------------------------
-
-    def _emit(
-        self,
-        time: float,
-        kind: str,
-        subject: str,
-        resource: str = "",
-        detail: str = "",
-        attempt: int = 0,
-    ) -> None:
-        event = ExecutionEvent(
-            time=time,
-            kind=kind,
-            subject=subject,
-            resource=resource,
-            detail=detail,
-            attempt=attempt,
-        )
-        self.trace.add(event)
-        if self.on_event is not None:
-            self.on_event(event)
 
     # -- fabric accounting ---------------------------------------------------
 
@@ -468,18 +439,16 @@ class OnlineRuntime:
                 rec.restore_due + max(0.0, impl_time - rec.progress)
             )
             lb = rec.not_before
-            for pred in self.workload.predecessors(uid):
+            for pred in self.graph.predecessors(uid):
                 if pred in self.task_end:
                     lb = max(lb, self.task_end[pred])
             bounds[uid] = lb
         self.pgraph = PrecedenceGraph(pending)
         keep = set(pending)
-        for src, dst in self.workload.edges():
+        for src, dst in self.graph.edges():
             if src in keep and dst in keep:
-                self.pgraph.add_edge(src, dst, self.workload.comm_cost(src, dst))
-        queues: list[list[str]] = [r.queue for r in self._alive_regions()]
-        queues.extend(self.proc_queue)
-        for queue in queues:
+                self.pgraph.add_edge(src, dst, self.graph.comm_cost(src, dst))
+        for _, queue in self._task_queues():
             for prev, nxt in zip(queue, queue[1:]):
                 try:
                     self.pgraph.add_edge(prev, nxt, 0.0)
@@ -534,15 +503,7 @@ class OnlineRuntime:
             # failed/cancelled predecessors never block a projection —
             # their dependents are doomed/cancelled before planning.
             ps.end.setdefault(uid, when)
-        for queue in [r.queue for r in self._alive_regions()]:
-            for uid in queue:
-                if uid not in exclude:
-                    ps.end[uid] = self._projected_end(uid)
-        for queue in self.proc_queue:
-            for uid in queue:
-                if uid not in exclude:
-                    ps.end[uid] = self._projected_end(uid)
-        for uid in self.pool:
+        for uid in self._unstarted():
             if uid not in exclude:
                 ps.end[uid] = self._projected_end(uid)
         return ps
@@ -556,7 +517,7 @@ class OnlineRuntime:
         on the projection's trail; the winner is then re-applied.  The
         ``bias`` orders ties: ``pack`` prefers existing regions (module
         reuse), ``spread`` prefers fresh regions (parallelism)."""
-        task = self.workload.task(uid)
+        task = self.graph.task(uid)
         rec = self.tasks[uid]
         best: tuple[tuple, Implementation, str, str | int, bool] | None = None
         hw_blocked: ResourceVector | None = None
@@ -711,7 +672,7 @@ class OnlineRuntime:
         seen = {ancestor}
         while stack:
             cur = stack.pop()
-            for succ in self.workload.successors(cur):
+            for succ in self.graph.successors(cur):
                 if succ == node:
                     return True
                 if succ not in seen:
@@ -765,11 +726,11 @@ class OnlineRuntime:
                 self.pgraph.add_node(pl.uid)
             else:
                 self.stale_arcs += 1  # duration/order may have changed
-            for pred in self.workload.predecessors(pl.uid):
+            for pred in self.graph.predecessors(pl.uid):
                 if pred in self.pgraph:
                     try:
                         self.pgraph.add_edge(
-                            pred, pl.uid, self.workload.comm_cost(pred, pl.uid)
+                            pred, pl.uid, self.graph.comm_cost(pred, pl.uid)
                         )
                     except CycleError:  # pragma: no cover - defensive
                         self.stale_arcs += 1
@@ -804,13 +765,13 @@ class OnlineRuntime:
         for tid in order:
             task = job.taskgraph.task(tid)
             uid = f"{job.job_id}:{tid}"
-            self.workload.add_task(Task.of(uid, task.implementations))
+            self.graph.add_task(Task.of(uid, task.implementations))
             self.tasks[uid] = _TaskRec(
                 uid=uid, job_id=job.job_id, not_before=now
             )
             uids.append(uid)
         for src, dst in job.taskgraph.edges():
-            self.workload.add_dependency(
+            self.graph.add_dependency(
                 f"{job.job_id}:{src}",
                 f"{job.job_id}:{dst}",
                 comm=job.taskgraph.comm_cost(src, dst),
@@ -888,51 +849,45 @@ class OnlineRuntime:
         """Degraded admission: place what can be placed, task by task;
         HW-only tasks with no fabric fail (dooming their descendants) —
         but a workload with SW implementations is never aborted."""
+        placements = self._place_each(uids, now, "no placement on surviving fabric")
+        # already committed piecewise; return empty so the caller's
+        # commit is a no-op, with the completion over what was placed
+        completion = max((pl.end for pl in placements), default=now)
+        return [], completion
+
+    def _place_each(self, uids: list[str], now: float, cause: str) -> list[_Placement]:
+        """Plan and commit ``uids`` one at a time; a task that fits
+        nowhere fails with ``cause``."""
         placements: list[_Placement] = []
         for uid in uids:
             if uid in self.resolved:
                 continue  # doomed by an earlier failure in this batch
             try:
                 pls, _ = self._plan([uid], now, None)
-                placements.extend(pls)
-                self._commit(pls, now)
             except (_NeedSpace, _Unplaceable):
-                self._fail_task(uid, now, "no placement on surviving fabric")
-        # already committed piecewise; return empty so the caller's
-        # commit is a no-op, with the completion over what was placed
-        completion = max((pl.end for pl in placements), default=now)
-        return [], completion
+                self._fail_task(uid, now, cause)
+                continue
+            self._commit(pls, now)
+            placements.extend(pls)
+        return placements
+
+    def _unstarted(self) -> list[str]:
+        """Every queued or pooled task, in queue order."""
+        return [uid for _, queue in self._task_queues() for uid in queue] + self.pool
 
     def _has_unstarted_others(self, exclude: list[str]) -> bool:
         skip = set(exclude)
-        for region in self._alive_regions():
-            if any(uid not in skip for uid in region.queue):
-                return True
-        for queue in self.proc_queue:
-            if any(uid not in skip for uid in queue):
-                return True
-        return any(uid not in skip for uid in self.pool)
+        return any(uid not in skip for uid in self._unstarted())
 
     def _full_replan_placements(
         self, new_uids: list[str], now: float, deadline: float | None
     ) -> tuple[list[_Placement], float]:
         """Guarded escalation: pull every unstarted task off its queue
         and re-place the whole pending set in EDF order."""
-        pending: list[str] = list(new_uids)
-        for region in self._alive_regions():
-            pending.extend(region.queue)
-            region.queue.clear()
-        for queue in self.proc_queue:
-            pending.extend(queue)
+        ordered = list(dict.fromkeys(new_uids + self._unstarted()))
+        for _, queue in self._task_queues():
             queue.clear()
-        pending.extend(self.pool)
         self.pool.clear()
-        seen: set[str] = set()
-        ordered: list[str] = []
-        for uid in pending:
-            if uid not in seen:
-                seen.add(uid)
-                ordered.append(uid)
 
         def edf_key(uid: str) -> tuple:
             jr = self.jobs[self.tasks[uid].job_id]
@@ -1013,26 +968,14 @@ class OnlineRuntime:
             self._emit(
                 now, "fault", uid, rid, detail=f"region {rid} died"
             )
-        replaced: list[str] = []
-        for uid in sorted(victims):
-            rec = self.tasks[uid]
-            task = self.workload.task(uid)
-            rec.not_before = max(rec.not_before, now)
-            if self.policy.sw_fallback and task.has_sw:
-                self._to_fallback(uid, now, f"region {rid} died")
-            elif self.policy.repair and task.has_hw:
-                replaced.append(uid)
-            else:
-                self._fail_task(uid, now, f"region {rid} died; no recovery")
-        if replaced:
-            self._replace_hw_batch(replaced, now, f"region {rid} died")
+        self._recover(sorted(victims), now, f"region {rid} died", "no recovery")
 
     # -- recovery ladder -----------------------------------------------------
 
     def _to_fallback(self, uid: str, now: float, cause: str) -> None:
         rec = self.tasks[uid]
         rec.fallback = True
-        rec.impl = self.workload.task(uid).fastest_sw()
+        rec.impl = self.graph.task(uid).fastest_sw()
         rec.progress = 0.0  # a SW re-run cannot restore a HW checkpoint
         rec.restore_due = 0.0
         rec.resume_pending = False
@@ -1045,21 +988,12 @@ class OnlineRuntime:
     def _replace_hw_batch(self, uids: list[str], now: float, cause: str) -> None:
         """Online repair: incrementally re-place HW-only victims."""
         t0 = _time.perf_counter()
-        placed: list[str] = []
-        for uid in uids:
-            if uid in self.resolved:
-                continue  # doomed by an earlier failure in this batch
-            try:
-                pls, _ = self._plan([uid], now, None)
-                self._commit(pls, now)
-                placed.append(uid)
-            except (_NeedSpace, _Unplaceable):
-                self._fail_task(uid, now, f"{cause}; no re-placement")
+        placed = self._place_each(uids, now, f"{cause}; no re-placement")
         if placed:
             self._record_replan(
                 "incremental",
                 now,
-                ",".join(placed),
+                ",".join(pl.uid for pl in placed),
                 _time.perf_counter() - t0,
                 cause,
             )
@@ -1072,7 +1006,7 @@ class OnlineRuntime:
         self._doom_descendants(uid, now)
 
     def _doom_descendants(self, uid: str, now: float) -> None:
-        stack = list(self.workload.successors(uid))
+        stack = list(self.graph.successors(uid))
         while stack:
             cur = stack.pop()
             if cur in self.resolved or cur in self.task_end:
@@ -1083,17 +1017,12 @@ class OnlineRuntime:
             # deliberately kept in the job's ``remaining`` set: a job
             # with failed/skipped tasks must never report completion
             self._emit(now, "skip", cur, detail="ancestor failed")
-            stack.extend(self.workload.successors(cur))
+            stack.extend(self.graph.successors(cur))
 
     def _dequeue(self, uid: str) -> None:
-        for region in self.regions.values():
-            if uid in region.queue:
-                region.queue.remove(uid)
-        for queue in self.proc_queue:
+        for queue in [q for _, q in self._task_queues()] + [self.pool]:
             if uid in queue:
                 queue.remove(uid)
-        if uid in self.pool:
-            self.pool.remove(uid)
 
     # -- preemption ----------------------------------------------------------
 
@@ -1193,14 +1122,8 @@ class OnlineRuntime:
             if act.start >= now - EPS:
                 del self.activities[i]
             else:
-                self.activities[i] = SimulatedActivity(
-                    kind=act.kind,
-                    name=act.name,
-                    resource=act.resource,
-                    start=act.start,
-                    end=now,
-                    ok=not lose_work and act.ok,
-                    attempt=act.attempt,
+                self.activities[i] = replace(
+                    act, end=now, ok=not lose_work and act.ok
                 )
             if act.kind == "task" and act.name == uid:
                 break
@@ -1210,38 +1133,23 @@ class OnlineRuntime:
         jr.remaining.add(uid)  # its completion was just revoked
         if jr.completed_at is not None:
             jr.completed_at = None  # the last task is running again
-        names = {uid, f"reconf:{uid}"}
-        self.trace.events[:] = [
-            e
-            for e in self.trace.events
-            if not (
-                (
-                    e.subject in names
-                    and e.time > now - EPS
-                    and e.kind in ("start", "end", "fault", "retry")
-                )
-                or (
-                    e.kind == "job-complete"
-                    and e.subject == jid
-                    and e.time > now - EPS
-                )
-            )
-        ]
+        self._scrub_trace({uid, f"reconf:{uid}"}, now)
+        self._scrub_trace({jid}, now, kinds=("job-complete",))
         return start
 
     # -- dispatch ------------------------------------------------------------
 
     def _data_ready(self, uid: str) -> float | None:
         ready = self.tasks[uid].not_before
-        for pred in self.workload.predecessors(uid):
+        for pred in self.graph.predecessors(uid):
             if pred not in self.task_end:
                 return None
-            finish = self.task_end[pred] + self.workload.comm_cost(pred, uid)
+            finish = self.task_end[pred] + self.graph.comm_cost(pred, uid)
             ready = max(ready, finish)
         return ready
 
-    def _candidates(self) -> list[tuple[float, int, str, tuple]]:
-        cands: list[tuple[float, int, str, tuple]] = []
+    def _candidates(self) -> list[Candidate]:
+        cands: list[Candidate] = []
         for region in self._alive_regions():
             if not region.queue:
                 continue
@@ -1255,14 +1163,14 @@ class OnlineRuntime:
                 )
                 start = max(region.free_at, self.ctrl_free[ctrl])
                 cands.append(
-                    (start, 0, f"reconf:{uid}", ("reconf", region.id, ctrl))
+                    (start, 0, f"reconf:{uid}", (self._fire_reconf, region.id, ctrl))
                 )
                 continue
             ready = self._data_ready(uid)
             if ready is None:
                 continue
             start = max(ready, region.free_at)
-            cands.append((start, 1, uid, ("task", "region", region.id)))
+            cands.append((start, 1, uid, (self._fire_task, "region", region.id)))
         for p, queue in enumerate(self.proc_queue):
             if not queue:
                 continue
@@ -1271,7 +1179,7 @@ class OnlineRuntime:
             if ready is None:
                 continue
             start = max(ready, self.proc_free[p])
-            cands.append((start, 2, uid, ("task", "proc", p)))
+            cands.append((start, 2, uid, (self._fire_task, "proc", p)))
         for uid in sorted(self.pool):
             ready = self._data_ready(uid)
             if ready is None:
@@ -1281,94 +1189,47 @@ class OnlineRuntime:
                 key=lambda i: (self.proc_free[i], i),
             )
             start = max(ready, self.proc_free[p])
-            cands.append((start, 3, uid, ("task", "pool", p)))
+            cands.append((start, 3, uid, (self._fire_task, "pool", p)))
         return cands
 
-    def _work_remains(self) -> bool:
-        return bool(
-            self.pool
-            or any(r.queue for r in self._alive_regions())
-            or any(self.proc_queue)
-        )
+    def _task_queues(self) -> list[tuple[str, list[str]]]:
+        return [(r.id, r.queue) for r in self._alive_regions()] + [
+            (f"P{p}", queue) for p, queue in enumerate(self.proc_queue)
+        ]
 
-    def _fire(self, cand: tuple[float, int, str, tuple]) -> None:
-        start, _, name, payload = cand
-        if payload[0] == "reconf":
-            self._fire_reconf(start, payload[1], payload[2])
-        else:
-            self._fire_task(start, name, payload[1], payload[2])
+    def _planned_time(self, uid: str) -> float:
+        return self.plan_end.get(uid, float("inf"))
 
-    def _fire_reconf(self, start: float, rid: str, ctrl: int) -> None:
+    def _fire_reconf(self, start: float, name: str, rid: str, ctrl: int) -> None:
         region = self.regions[rid]
         uid = region.queue[0]
         rec = self.tasks[uid]
         assert rec.impl is not None
-        name = f"reconf:{uid}"
-        duration = self.arch.reconf_time(region.resources)
-        resource = f"ICAP{ctrl}"
-        cursor = start
-        chain = 0
-        while True:
-            chain += 1
-            rec.reconf_attempts += 1
-            attempt = rec.reconf_attempts
-            end = cursor + duration
-            fails = (
-                self.faults.reconf_fails(uid, attempt) if self.faults else False
-            )
-            self.activities.append(
-                SimulatedActivity(
-                    kind="reconfiguration",
-                    name=name,
-                    resource=resource,
-                    start=cursor,
-                    end=end,
-                    ok=not fails,
-                    attempt=attempt,
-                )
-            )
-            self.ctrl_free[ctrl] = end
-            if not fails:
-                self._emit(cursor, "start", name, resource, attempt=attempt)
-                self._emit(end, "end", name, resource)
-                region.configured = rec.impl.name
-                region.free_at = max(region.free_at, end)
-                region.last_used = end
-                return
-            self._emit(
-                end, "fault", name, resource,
-                detail="bitstream load failed", attempt=attempt,
-            )
-            if chain > self.policy.max_retries:
-                region.queue.pop(0)
-                self._recover_task(
-                    uid, end, "bitstream load retries exhausted"
-                )
-                return
-            delay = self.policy.retry_delay(chain)
-            self._emit(
-                end, "retry", name, resource,
-                detail=f"backoff {delay:g}", attempt=attempt + 1,
-            )
-            cursor = end + delay
+        act = self._attempts(
+            "reconfiguration", uid, f"ICAP{ctrl}", start,
+            self.arch.reconf_time(region.resources),
+            first=rec.reconf_attempts + 1,
+        )
+        rec.reconf_attempts = act.attempt
+        self.ctrl_free[ctrl] = act.end
+        if act.ok:
+            region.configured = rec.impl.name
+            region.free_at = max(region.free_at, act.end)
+            region.last_used = act.end
+            return
+        region.queue.pop(0)
+        self._recover([uid], act.end, "bitstream load retries exhausted")
 
     def _fire_task(self, start: float, uid: str, where: str, key) -> None:
-        region: _RegionRec | None = None
-        if where == "region":
-            region = self.regions[key]
-            assert region.queue[0] == uid
-            region.queue.pop(0)
-            resource = key
-            proc = None
-        elif where == "proc":
-            assert self.proc_queue[key][0] == uid
-            self.proc_queue[key].pop(0)
-            resource = f"P{key}"
-            proc = key
-        else:  # pool: key is the chosen processor
+        # For the pool, ``key`` is the chosen processor.
+        region = self.regions[key] if where == "region" else None
+        if where == "pool":
             self.pool.remove(uid)
-            resource = f"P{key}"
-            proc = key
+        else:
+            queue = region.queue if region is not None else self.proc_queue[key]
+            assert queue[0] == uid
+            queue.pop(0)
+        resource = key if region is not None else f"P{key}"
         rec = self.tasks[uid]
         assert rec.impl is not None
         duration = rec.restore_due + max(0.0, rec.impl.time - rec.progress)
@@ -1390,90 +1251,23 @@ class OnlineRuntime:
             )
             rec.resume_pending = False
 
-        cursor = start
-        chain = 0
-        final_end = start
-        while True:
-            chain += 1
-            rec.attempts += 1
-            attempt = rec.attempts
-            end = cursor + duration
-            fails = (
-                self.faults.task_fails(uid, attempt) if self.faults else False
-            )
-            self.activities.append(
-                SimulatedActivity(
-                    kind="task",
-                    name=uid,
-                    resource=resource,
-                    start=cursor,
-                    end=end,
-                    ok=not fails,
-                    attempt=attempt,
-                )
-            )
-            final_end = end
-            if not fails:
-                self._emit(cursor, "start", uid, resource, attempt=attempt)
-                self._emit(end, "end", uid, resource)
-                self.task_start[uid] = cursor
-                self.task_end[uid] = end
-                if region is not None:
-                    region.running = (uid, cursor, end)
-                self._on_complete(uid, end)
-                break
-            self._emit(
-                end, "fault", uid, resource,
-                detail="transient fault", attempt=attempt,
-            )
-            if chain > self.policy.max_retries:
-                if region is not None:
-                    region.running = None
-                self._finish_occupancy(region, proc, final_end)
-                self._recover_task(uid, end, "retries exhausted")
-                return
-            delay = self.policy.retry_delay(chain)
-            self._emit(
-                end, "retry", uid, resource,
-                detail=f"backoff {delay:g}", attempt=attempt + 1,
-            )
-            cursor = end + delay
-        self._finish_occupancy(region, proc, final_end)
-
-    def _finish_occupancy(
-        self, region: _RegionRec | None, proc: int | None, end: float
-    ) -> None:
+        # The attempt number runs on across dispatches (fault determinism).
+        act = self._attempts(
+            "task", uid, resource, start, duration, first=rec.attempts + 1
+        )
+        rec.attempts = act.attempt
         if region is not None:
-            region.free_at = end
-            region.last_used = end
-        elif proc is not None:
-            self.proc_free[proc] = end
-
-    def run(self) -> OnlineResult:
-        while True:
-            cands = self._candidates()
-            nxt = (
-                self.events[self.cursor]
-                if self.cursor < len(self.events)
-                else None
-            )
-            best = (
-                min(cands, key=lambda c: (c[0], c[1], c[2]))
-                if cands
-                else None
-            )
-            if nxt is not None and (
-                best is None or nxt[0] <= best[0] + EPS
-            ):
-                self.cursor += 1
-                self._process_external(nxt)
-                continue
-            if best is None:
-                if self._work_remains():
-                    self._raise_deadlock()
-                break
-            self._fire(best)
-        return self._result()
+            region.free_at = act.end
+            region.last_used = act.end
+            region.running = (uid, act.start, act.end) if act.ok else None
+        else:
+            self.proc_free[key] = act.end
+        if act.ok:
+            self.task_start[uid] = act.start
+            self.task_end[uid] = act.end
+            self._on_complete(uid, act.end)
+        else:
+            self._recover([uid], act.end, "retries exhausted")
 
     def _process_external(self, event: tuple[float, int, str]) -> None:
         t, cls, key = event
@@ -1488,85 +1282,34 @@ class OnlineRuntime:
 
     # -- task execution ------------------------------------------------------
 
-    def _recover_task(self, uid: str, now: float, cause: str) -> None:
-        """The ladder after exhausted retries: SW fallback, then online
-        re-placement, then failure."""
-        task = self.workload.task(uid)
-        rec = self.tasks[uid]
-        rec.not_before = max(rec.not_before, now)
-        if self.policy.sw_fallback and task.has_sw:
-            self._to_fallback(uid, now, cause)
-        elif self.policy.repair and task.has_hw:
-            self._replace_hw_batch([uid], now, cause)
-        else:
-            self._fail_task(uid, now, f"{cause}; no recovery path")
+    def _recover(
+        self, uids: list[str], now: float, cause: str, no_path: str = "no recovery path"
+    ) -> None:
+        """The recovery ladder: SW fallback, then online re-placement
+        (one batch for all of ``uids``), then failure."""
+        replaced: list[str] = []
+        for uid in uids:
+            task = self.graph.task(uid)
+            rec = self.tasks[uid]
+            rec.not_before = max(rec.not_before, now)
+            if self.policy.sw_fallback and task.has_sw:
+                self._to_fallback(uid, now, cause)
+            elif self.policy.repair and task.has_hw:
+                replaced.append(uid)
+            else:
+                self._fail_task(uid, now, f"{cause}; {no_path}")
+        if replaced:
+            self._replace_hw_batch(replaced, now, cause)
 
     def _on_complete(self, uid: str, end: float) -> None:
         rec = self.tasks[uid]
         jr = self.jobs[rec.job_id]
         jr.remaining.discard(uid)
-        for succ in self.workload.successors(uid):
+        for succ in self.graph.successors(uid):
             self._raise_bound(succ, end)
         if not jr.remaining and not jr.departed:
             jr.completed_at = end
             self._emit(end, "job-complete", rec.job_id)
-
-    def _raise_deadlock(self) -> None:
-        blocked: dict[str, str] = {}
-        stuck: list[str] = []
-        pending: list[str] = []
-        for region in self._alive_regions():
-            if region.queue:
-                blocked[region.id] = self._block_reason(region.queue[0])
-                stuck.extend(region.queue)
-                pending.append(f"{region.id} queue: {region.queue[:6]}")
-        for p, queue in enumerate(self.proc_queue):
-            if queue:
-                blocked[f"P{p}"] = self._block_reason(queue[0])
-                stuck.extend(queue)
-                pending.append(f"P{p} queue: {queue[:6]}")
-        for uid in self.pool:
-            blocked[f"pool:{uid}"] = self._block_reason(uid)
-            stuck.append(uid)
-        if self.pool:
-            pending.append(f"fallback pool: {sorted(self.pool)[:6]}")
-        for t, cls, key in self.events[self.cursor :]:
-            kind = ("arrival", "region-death", "departure", "deadline")[cls]
-            pending.append(f"t={t:g} {kind} {key}")
-        deps = {
-            uid: dep
-            for uid in stuck
-            if (dep := self._earliest_missing_pred(uid))
-        }
-        raise DeadlockError(
-            blocked, sorted(set(stuck)), pending_events=pending,
-            blocking_dependency=deps,
-        )
-
-    def _earliest_missing_pred(self, uid: str) -> str | None:
-        missing = [
-            p
-            for p in self.workload.predecessors(uid)
-            if p not in self.task_end and p not in self.resolved
-        ]
-        if not missing:
-            return None
-        return min(
-            missing, key=lambda p: (self.plan_end.get(p, float("inf")), p)
-        )
-
-    def _block_reason(self, uid: str) -> str:
-        missing = [
-            p
-            for p in self.workload.predecessors(uid)
-            if p not in self.task_end and p not in self.resolved
-        ]
-        if missing:
-            return (
-                f"task {uid!r} waits on unfinished predecessor(s) "
-                f"{missing[:4]}"
-            )
-        return f"task {uid!r} is runnable but was never dispatched"
 
     def _result(self) -> OnlineResult:
         makespan = max((a.end for a in self.activities), default=0.0)

@@ -13,7 +13,7 @@ synthetic traces from a seed (same seed ⇒ bit-identical trace), with a
 ``slack`` knob that scales deadlines relative to each job's serial
 fastest-implementation time; :func:`feasible_trace` picks generous
 parameters so a fault-free run meets every deadline — the baseline the
-CI online-smoke gate asserts against.
+CI dispatch-smoke gate asserts against.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def generate_trace(
 def feasible_trace(seed: int = 0, jobs: int = 5) -> ArrivalTrace:
     """A known-feasible trace: widely spaced arrivals and generous
     deadlines, so a fault-free run meets 100% of deadlines (asserted by
-    ``benchmarks/bench_online.py`` and the CI online-smoke job)."""
+    ``benchmarks/bench_online.py`` and the CI dispatch-smoke job)."""
     return generate_trace(
         seed=seed,
         jobs=jobs,

@@ -31,12 +31,12 @@ repaired plan.  Every runtime decision is recorded as a structured
 With ``faults=None`` the fault machinery is inert and the executed
 times are identical to the plain replay.
 
-Dispatch is strictly time-ordered: among all runnable activities the
-one with the earliest derived start fires first (deterministic
-tie-break), which is what makes fault times well-defined.  When nothing
-is runnable but work remains, the executor raises a
-:class:`DeadlockError` diagnosing each stuck resource instead of
-looping or returning a partial result.
+The replay is one policy over the dispatch kernel
+(:mod:`repro.sim.dispatch`): among all runnable activities the one with
+the earliest derived start fires first (deterministic tie-break), which
+is what makes fault times well-defined.  When nothing is runnable but
+work remains, the kernel raises a :class:`DeadlockError` diagnosing
+each stuck resource instead of looping or returning a partial result.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from ..model import (
     RegionPlacement,
     Schedule,
 )
+from .dispatch import EPS, Candidate, DeadlockError, Dispatcher, SimulatedActivity
 from .events import ExecutionEvent, ExecutionTrace
 from .faults import FaultPlan
 from .recovery import RecoveryError, RecoveryPolicy, RepairResult, repair_schedule
@@ -64,75 +65,6 @@ __all__ = [
     "simulate",
     "jitter_model",
 ]
-
-EPS = 1e-9
-
-
-class DeadlockError(RuntimeError):
-    """The dispatch plan cannot make progress.
-
-    ``blocked`` maps each stuck resource to a human-readable reason;
-    ``stuck_tasks`` lists the unfinished task ids; ``pending_events``
-    is a snapshot of the not-yet-processed event queue (queue heads,
-    scheduled fault events, online arrivals) and ``blocking_dependency``
-    maps each stuck task to its earliest unsatisfied dependency — so an
-    online-mode deadlock is debuggable from the message alone.
-    """
-
-    def __init__(
-        self,
-        blocked: Mapping[str, str],
-        stuck_tasks: list[str],
-        pending_events: list[str] | None = None,
-        blocking_dependency: Mapping[str, str] | None = None,
-    ):
-        self.blocked = dict(blocked)
-        self.stuck_tasks = list(stuck_tasks)
-        self.pending_events = list(pending_events or [])
-        self.blocking_dependency = dict(blocking_dependency or {})
-        lines = [f"  {res}: {why}" for res, why in sorted(self.blocked.items())]
-        if self.blocking_dependency:
-            lines.append("earliest unsatisfied dependency per stuck task:")
-            lines.extend(
-                f"  {task} <- {dep}"
-                for task, dep in sorted(self.blocking_dependency.items())
-            )
-        if self.pending_events:
-            lines.append(
-                f"pending event queue ({len(self.pending_events)} entries):"
-            )
-            lines.extend(f"  {entry}" for entry in self.pending_events[:20])
-            if len(self.pending_events) > 20:
-                lines.append(
-                    f"  ... and {len(self.pending_events) - 20} more"
-                )
-        super().__init__(
-            "dispatch deadlock — no runnable activity but "
-            f"{len(self.stuck_tasks)} task(s) unfinished "
-            f"({', '.join(repr(t) for t in self.stuck_tasks[:5])}"
-            f"{', ...' if len(self.stuck_tasks) > 5 else ''}):\n"
-            + "\n".join(lines)
-        )
-
-
-@dataclass(frozen=True)
-class SimulatedActivity:
-    """One executed activity: a task or a reconfiguration.
-
-    ``ok`` is False for failed attempts (the resource was occupied but
-    the work was lost to an injected fault)."""
-
-    kind: str  # "task" | "reconfiguration"
-    name: str  # task id, or "reconf:<outgoing task>"
-    resource: str  # "RRx", "Px" or "ICAP"
-    start: float
-    end: float
-    ok: bool = True
-    attempt: int = 1
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -191,10 +123,21 @@ def simulate(
     ``faults`` injects runtime failures; ``recovery`` configures the
     retry/fallback/repair ladder (defaults to :class:`RecoveryPolicy`);
     ``on_event`` observes every :class:`ExecutionEvent` as it fires.
+    Raises ``ValueError`` when ``schedule`` does not cover exactly the
+    instance's tasks, or a fault targets a region the schedule lacks.
     """
-    if faults is not None and not faults:
-        faults = None  # empty plan == no faults
-    if faults is not None:
+    planned, wanted = set(schedule.tasks), set(instance.taskgraph.task_ids)
+    if planned != wanted:
+        parts = []
+        if wanted - planned:
+            parts.append(f"missing {sorted(wanted - planned)[:5]}")
+        if planned - wanted:
+            parts.append(f"not in the instance {sorted(planned - wanted)[:5]}")
+        raise ValueError(
+            "schedule was not made for this instance: tasks "
+            + "; ".join(parts)
+        )
+    if faults:
         known = set(schedule.regions)
         for _, rid in faults.region_deaths():
             if rid not in known:
@@ -214,13 +157,13 @@ def simulate(
     return engine.run()
 
 
-class _Engine:
-    """Time-ordered dispatch of a plan with optional fault injection.
+class _Engine(Dispatcher):
+    """Replay policy over the dispatch kernel: the queues are the
+    plan's per-region, per-core and per-controller orders.
 
-    One instance executes one simulation; all mutable runtime state
-    (queues, resource-free times, the fallback pool, fault bookkeeping)
-    lives here so the repair scheduler can splice a new plan into a
-    running execution.
+    All mutable runtime state (queues, resource-free times, the
+    fallback pool, fault bookkeeping) lives here so the repair
+    scheduler can splice a new plan into a running execution.
     """
 
     def __init__(
@@ -233,22 +176,14 @@ class _Engine:
         policy: RecoveryPolicy,
         on_event,
     ) -> None:
+        super().__init__(instance.taskgraph, faults, policy, on_event)
         self.instance = instance
         self.schedule = schedule
-        self.graph = instance.taskgraph
         self.jitter = jitter
         self.comm = communication_overhead
-        self.faults = faults
-        self.policy = policy
-        self.on_event = on_event
-        self.trace = ExecutionTrace()
 
         arch = instance.architecture
-        self.task_start: dict[str, float] = {}
-        self.task_end: dict[str, float] = {}
         self.reconf_end: dict[str, float] = {}  # keyed by outgoing task
-        self.resolved: dict[str, float] = {}  # when a failed task gave up
-        self.activities: list[SimulatedActivity] = []
         self.region_free: dict[str, float] = {rid: 0.0 for rid in schedule.regions}
         self.proc_free: dict[int, float] = {
             p: 0.0 for p in range(arch.processors)
@@ -257,15 +192,12 @@ class _Engine:
             c: 0.0 for c in range(arch.reconfigurators)
         }
         self.regions_catalog: dict[str, Region] = dict(schedule.regions)
-        self.pool: list[str] = []  # SW-fallback tasks, dispatched when ready
         self.not_before: dict[str, float] = {}  # earliest fallback dispatch
         self.fallback_impl: dict[str, object] = {}
-        self.failed: set[str] = set()  # unrecovered faults
-        self.skipped: set[str] = set()  # abandoned (failed ancestor)
         self.dead_regions: dict[str, Region] = {}
-        self.deaths: list[tuple[float, str]] = (
-            faults.region_deaths() if faults else []
-        )
+        # Region deaths are the replay's only external events.
+        if self.faults:
+            self.external = [(t, 0, rid) for t, rid in self.faults.region_deaths()]
         self.repairs: list[RepairResult] = []
         self._reconf_region: dict[str, str] = {}  # activity name -> region
         self._install_plan(schedule)
@@ -303,33 +235,15 @@ class _Engine:
 
     # -- small helpers -------------------------------------------------------
 
-    def _emit(
-        self,
-        time: float,
-        kind: str,
-        subject: str,
-        resource: str = "",
-        detail: str = "",
-        attempt: int = 0,
-    ) -> None:
-        event = ExecutionEvent(
-            time=time,
-            kind=kind,
-            subject=subject,
-            resource=resource,
-            detail=detail,
-            attempt=attempt,
-        )
-        self.trace.add(event)
-        if self.on_event is not None:
-            self.on_event(event)
-
-    def _actual(self, name: str, duration: float) -> float:
+    def _attempt_duration(self, name: str, duration: float, chain: int) -> float:
+        """The planned duration under the jitter model; each retry is
+        jittered under its own key."""
         if self.jitter is None:
             return duration
+        key = name if chain == 1 else f"{name}#a{chain}"
         if callable(self.jitter):
-            return max(EPS, self.jitter(name, duration))
-        return max(EPS, duration * self.jitter.get(name, 1.0))
+            return max(EPS, self.jitter(key, duration))
+        return max(EPS, duration * self.jitter.get(key, 1.0))
 
     def _data_ready(self, task_id: str) -> tuple[float, bool] | None:
         """Earliest data-ready time, or None while a predecessor is
@@ -357,6 +271,13 @@ class _Engine:
             return self.resolved[rc.ingoing_task]
         return None
 
+    def _unqueue_hw(self, task_id: str) -> None:
+        """Withdraw a task from its region queue and its bitstream load."""
+        for queue in self.region_tasks.values():
+            if task_id in queue:
+                queue.remove(task_id)
+        self._drop_reconf(task_id)
+
     def _drop_reconf(self, task_id: str) -> None:
         """Remove the pending bitstream load for a task that will never
         run in hardware (fallback / skip / failure / dead region)."""
@@ -367,15 +288,10 @@ class _Engine:
         if rc in queue:
             queue.remove(rc)
 
-    # -- candidate collection -----------------------------------------------
+    # -- the kernel's policy interface ---------------------------------------
 
-    def _candidates(self) -> list[tuple[float, int, str, tuple]]:
-        """Every runnable head with its derived start time.
-
-        A candidate is ``(start, class, name, payload)``; the tuple
-        orders firing deterministically by time then class then name.
-        """
-        cands: list[tuple[float, int, str, tuple]] = []
+    def _candidates(self) -> list[Candidate]:
+        cands: list[Candidate] = []
         for controller in sorted(self.controller_queues):
             queue = self.controller_queues[controller]
             if not queue:
@@ -385,82 +301,64 @@ class _Engine:
             if ingoing_end is None:
                 continue
             start = max(ingoing_end, self.controller_free[rc.controller])
-            cands.append(
-                (start, 0, f"reconf:{rc.outgoing_task}", ("reconf", controller))
-            )
-        for rid in sorted(self.region_tasks):
-            queue = self.region_tasks[rid]
-            if not queue:
-                continue
-            task_id = queue[0]
+            name = f"reconf:{rc.outgoing_task}"
+            cands.append((start, 0, name, (self._fire_reconf, controller)))
+        heads = [
+            (1, "region", rid, self.region_tasks[rid][0])
+            for rid in sorted(self.region_tasks)
+            if self.region_tasks[rid]
+        ]
+        heads += [
+            (2, "proc", p, self.proc_tasks[p][0])
+            for p in sorted(self.proc_tasks)
+            if self.proc_tasks[p]
+        ]
+        heads += [(3, "pool", None, task_id) for task_id in sorted(self.pool)]
+        for cls, where, key, task_id in heads:
             ready = self._data_ready(task_id)
             if ready is None:
                 continue
             ready_at, doomed = ready
             if doomed:
-                cands.append((ready_at, 1, task_id, ("skip", "region", rid)))
-                continue
-            if task_id in self.reconf_for and task_id not in self.reconf_end:
-                continue  # bitstream not loaded yet
-            start = max(ready_at, self.region_free[rid])
-            if task_id in self.reconf_end:
-                start = max(start, self.reconf_end[task_id])
-            cands.append((start, 1, task_id, ("region", rid)))
-        for proc in sorted(self.proc_tasks):
-            queue = self.proc_tasks[proc]
-            if not queue:
-                continue
-            task_id = queue[0]
-            ready = self._data_ready(task_id)
-            if ready is None:
-                continue
-            ready_at, doomed = ready
-            if doomed:
-                cands.append((ready_at, 2, task_id, ("skip", "proc", proc)))
-                continue
-            start = max(ready_at, self.proc_free[proc])
-            cands.append((start, 2, task_id, ("proc", proc)))
-        for task_id in sorted(self.pool):
-            ready = self._data_ready(task_id)
-            if ready is None:
-                continue
-            ready_at, doomed = ready
-            if doomed:
-                cands.append((ready_at, 3, task_id, ("skip", "pool", None)))
-                continue
-            proc = min(self.proc_free, key=lambda p: (self.proc_free[p], p))
-            # A fallback cannot start before the fault that caused it.
-            start = max(
-                ready_at, self.not_before.get(task_id, 0.0), self.proc_free[proc]
-            )
-            cands.append((start, 3, task_id, ("pool", proc)))
+                cands.append((ready_at, cls, task_id, (self._fire_skip, where, key)))
+            elif where == "region":
+                if task_id in self.reconf_for and task_id not in self.reconf_end:
+                    continue  # bitstream not loaded yet
+                start = max(
+                    ready_at, self.region_free[key], self.reconf_end.get(task_id, 0.0)
+                )
+                cands.append((start, cls, task_id, (self._fire_task, where, key)))
+            elif where == "proc":
+                start = max(ready_at, self.proc_free[key])
+                cands.append((start, cls, task_id, (self._fire_task, where, key)))
+            else:
+                proc = min(self.proc_free, key=lambda p: (self.proc_free[p], p))
+                # A fallback cannot start before the fault that caused it.
+                start = max(
+                    ready_at, self.not_before.get(task_id, 0.0), self.proc_free[proc]
+                )
+                cands.append((start, cls, task_id, (self._fire_task, where, proc)))
         return cands
 
+    def _task_queues(self) -> list[tuple[str, list[str]]]:
+        return [(rid, self.region_tasks[rid]) for rid in sorted(self.region_tasks)] + [
+            (f"P{p}", self.proc_tasks[p]) for p in sorted(self.proc_tasks)
+        ]
+
     def _work_remains(self) -> bool:
-        return bool(
-            self.pool
-            or any(self.region_tasks.values())
-            or any(self.proc_tasks.values())
-            or any(self.controller_queues.values())
-        )
+        return super()._work_remains() or any(self.controller_queues.values())
 
-    # -- main loop -----------------------------------------------------------
+    def _next_external(self) -> tuple[float, int, str] | None:
+        # A death after the last activity changes nothing: stop instead.
+        event = super()._next_external()
+        return event if event is not None and self._work_remains() else None
 
-    def run(self) -> SimulationResult:
-        while self._work_remains():
-            cands = self._candidates()
-            next_death = self.deaths[0] if self.deaths else None
-            if not cands:
-                if next_death is not None:
-                    self._process_death()
-                    continue
-                self._raise_deadlock()
-            best = min(cands, key=lambda c: (c[0], c[1], c[2]))
-            if next_death is not None and next_death[0] <= best[0]:
-                self._process_death()
-                continue
-            self._fire(best)
-        return self._result()
+    def _process_external(self, event: tuple[float, int, str]) -> None:
+        self._process_death(event[0], event[2])
+
+    def _planned_time(self, task_id: str) -> float:
+        planned = self.schedule.tasks.get(task_id)
+        return planned.start if planned is not None else float("inf")
 
     def _result(self) -> SimulationResult:
         makespan = max((a.end for a in self.activities), default=0.0)
@@ -480,188 +378,89 @@ class _Engine:
 
     # -- firing --------------------------------------------------------------
 
-    def _fire(self, cand: tuple[float, int, str, tuple]) -> None:
-        start, _, name, payload = cand
-        if payload[0] == "skip":
-            self._fire_skip(start, name, payload)
-        elif payload[0] == "reconf":
-            self._fire_reconf(start, payload[1])
-        else:
-            self._fire_task(start, name, payload)
-
-    def _fire_skip(self, time: float, task_id: str, payload: tuple) -> None:
-        _, where, key = payload
+    def _dequeue(self, task_id: str, where: str, key) -> None:
         if where == "region":
             self.region_tasks[key].pop(0)
         elif where == "proc":
             self.proc_tasks[key].pop(0)
         else:
             self.pool.remove(task_id)
+
+    def _fire_skip(self, time: float, task_id: str, where: str, key) -> None:
+        self._dequeue(task_id, where, key)
         self._drop_reconf(task_id)
         self.resolved[task_id] = time
         self.skipped.add(task_id)
         self._emit(time, "skip", task_id, detail="ancestor failed")
 
-    def _fire_reconf(self, start: float, controller: int) -> None:
-        queue = self.controller_queues[controller]
-        rc = queue.pop(0)
-        name = f"reconf:{rc.outgoing_task}"
+    def _fire_reconf(self, start: float, name: str, controller: int) -> None:
+        rc = self.controller_queues[controller].pop(0)
         self._reconf_region[name] = rc.region_id
-        cursor = start
-        attempt = 1
-        while True:
-            key = name if attempt == 1 else f"{name}#a{attempt}"
-            duration = self._actual(key, rc.duration)
-            end = cursor + duration
-            fails = (
-                self.faults.reconf_fails(rc.outgoing_task, attempt)
-                if self.faults
-                else False
-            )
-            self.activities.append(
-                SimulatedActivity(
-                    kind="reconfiguration",
-                    name=name,
-                    resource=f"ICAP{controller}",
-                    start=cursor,
-                    end=end,
-                    ok=not fails,
-                    attempt=attempt,
-                )
-            )
-            self.controller_free[controller] = end
-            if not fails:
-                self._emit(
-                    cursor, "start", name, f"ICAP{controller}", attempt=attempt
-                )
-                self._emit(end, "end", name, f"ICAP{controller}")
-                self.reconf_end[rc.outgoing_task] = end
-                return
-            self._emit(
-                end,
-                "fault",
-                name,
-                f"ICAP{controller}",
-                detail="bitstream load failed",
-                attempt=attempt,
-            )
-            if attempt > self.policy.max_retries:
-                self.reconf_for.pop(rc.outgoing_task, None)
-                self._recover_hw_task(
-                    rc.outgoing_task, end, cause="bitstream load retries exhausted"
-                )
-                return
-            delay = self.policy.retry_delay(attempt)
-            self._emit(
-                end, "retry", name, f"ICAP{controller}",
-                detail=f"backoff {delay:g}", attempt=attempt + 1,
-            )
-            cursor = end + delay
-            attempt += 1
+        act = self._attempts(
+            "reconfiguration", rc.outgoing_task, f"ICAP{controller}", start,
+            rc.duration,
+        )
+        self.controller_free[controller] = act.end
+        if act.ok:
+            self.reconf_end[rc.outgoing_task] = act.end
+            return
+        self._recover_hw_task(
+            rc.outgoing_task, act.end, cause="bitstream load retries exhausted"
+        )
 
-    def _fire_task(self, start: float, task_id: str, payload: tuple) -> None:
-        where, key = payload
+    def _fire_task(self, start: float, task_id: str, where: str, key) -> None:
         # Dequeue before running the attempt chain: recovery paths
         # (exhausted retries) may themselves edit the queues.
-        if where == "region":
-            resource = key
-            self.region_tasks[key].pop(0)
-            duration0 = self.planned_duration[task_id]
-        elif where == "proc":
-            resource = f"P{key}"
-            self.proc_tasks[key].pop(0)
-            duration0 = self.planned_duration[task_id]
-        else:  # fallback pool
-            resource = f"P{key}"
-            self.pool.remove(task_id)
-            duration0 = self.fallback_impl[task_id].time
+        self._dequeue(task_id, where, key)
+        resource = key if where == "region" else f"P{key}"
+        if where == "pool":
+            duration = self.fallback_impl[task_id].time
+        else:
+            duration = self.planned_duration[task_id]
 
         # If the region dies mid-attempt, the death processing (which is
         # guaranteed to run before any later activity fires) truncates
         # the committed activities and triggers recovery for this task.
-        cursor = start
-        attempt = 1
-        final_end = start
-        while True:
-            jitter_key = task_id if attempt == 1 else f"{task_id}#a{attempt}"
-            duration = self._actual(jitter_key, duration0)
-            end = cursor + duration
-            fails = (
-                self.faults.task_fails(task_id, attempt) if self.faults else False
-            )
-            self.activities.append(
-                SimulatedActivity(
-                    kind="task",
-                    name=task_id,
-                    resource=resource,
-                    start=cursor,
-                    end=end,
-                    ok=not fails,
-                    attempt=attempt,
-                )
-            )
-            final_end = end
-            if not fails:
-                self._emit(cursor, "start", task_id, resource, attempt=attempt)
-                self._emit(end, "end", task_id, resource)
-                self.task_start[task_id] = cursor
-                self.task_end[task_id] = end
-                break
-            self._emit(
-                end, "fault", task_id, resource,
-                detail="transient fault", attempt=attempt,
-            )
-            if attempt > self.policy.max_retries:
-                self._exhausted_task(task_id, end, where, resource)
-                break
-            delay = self.policy.retry_delay(attempt)
-            self._emit(
-                end, "retry", task_id, resource,
-                detail=f"backoff {delay:g}", attempt=attempt + 1,
-            )
-            cursor = end + delay
-            attempt += 1
-
+        act = self._attempts("task", task_id, resource, start, duration)
         if where == "region":
-            self.region_free[key] = final_end
+            self.region_free[key] = act.end
         else:
-            self.proc_free[key] = final_end
-
-    def _exhausted_task(
-        self, task_id: str, time: float, where: str, resource: str
-    ) -> None:
-        """Retries are spent; fall back to SW if the task ran in HW."""
-        if where == "region":
-            self._recover_hw_task(task_id, time, cause="retries exhausted")
-            return
-        self.resolved[task_id] = time
-        self.failed.add(task_id)
-        self._emit(time, "failed", task_id, resource, detail="retries exhausted")
+            self.proc_free[key] = act.end
+        if act.ok:
+            self.task_start[task_id] = act.start
+            self.task_end[task_id] = act.end
+        elif where == "region":
+            self._recover_hw_task(task_id, act.end, cause="retries exhausted")
+        else:
+            self._give_up(task_id, act.end, "retries exhausted", resource)
 
     def _recover_hw_task(self, task_id: str, time: float, cause: str) -> None:
         """Move a HW task to the SW fallback pool, or give up on it.
 
         The task is removed from its region queue (it may not be the
         head when a bitstream load fails ahead of time)."""
-        for queue in self.region_tasks.values():
-            if task_id in queue:
-                queue.remove(task_id)
-        self._drop_reconf(task_id)
-        task = self.graph.task(task_id)
-        if self.policy.sw_fallback and task.has_sw:
-            self.fallback_impl[task_id] = task.fastest_sw()
-            self.pool.append(task_id)
-            self.not_before[task_id] = time
-            self._emit(time, "fallback", task_id, detail=cause)
+        self._unqueue_hw(task_id)
+        if self.policy.sw_fallback and self.graph.task(task_id).has_sw:
+            self._to_fallback(task_id, time, cause)
         else:
-            self.resolved[task_id] = time
-            self.failed.add(task_id)
-            self._emit(time, "failed", task_id, detail=f"{cause}; no SW fallback")
+            self._give_up(task_id, time, f"{cause}; no SW fallback")
+
+    def _to_fallback(self, task_id: str, time: float, cause: str) -> None:
+        self.fallback_impl[task_id] = self.graph.task(task_id).fastest_sw()
+        self.pool.append(task_id)
+        self.not_before[task_id] = time
+        self._emit(time, "fallback", task_id, detail=cause)
+
+    def _give_up(
+        self, task_id: str, time: float, cause: str, resource: str = ""
+    ) -> None:
+        self.resolved[task_id] = time
+        self.failed.add(task_id)
+        self._emit(time, "failed", task_id, resource, detail=cause)
 
     # -- permanent region death ---------------------------------------------
 
-    def _process_death(self) -> None:
-        death_time, region_id = self.deaths.pop(0)
+    def _process_death(self, death_time: float, region_id: str) -> None:
         region = self.regions_catalog[region_id]
         self.dead_regions[region_id] = region
         self._emit(death_time, "region-death", region_id, resource=region_id)
@@ -674,13 +473,11 @@ class _Engine:
         victims |= set(self.region_tasks.pop(region_id, []))
         self.region_free.pop(region_id, None)
         # 3. pending bitstream loads into the region are void.
-        for queue in self.controller_queues.values():
-            for rc in list(queue):
-                if rc.region_id == region_id:
-                    queue.remove(rc)
-                    self.reconf_for.pop(rc.outgoing_task, None)
+        for rc in list(self.reconf_for.values()):
+            if rc.region_id == region_id:
+                self._drop_reconf(rc.outgoing_task)
 
-        for task_id in victims:
+        for task_id in sorted(victims):
             self._emit(
                 death_time, "fault", task_id, region_id,
                 detail=f"region {region_id} died",
@@ -688,40 +485,20 @@ class _Engine:
 
         if not victims:
             return
+        cause = f"region {region_id} died"
         fallback_ok = self.policy.sw_fallback and all(
             self.graph.task(t).has_sw for t in victims
         )
-        if fallback_ok:
-            for task_id in sorted(victims):
-                task = self.graph.task(task_id)
-                self.fallback_impl[task_id] = task.fastest_sw()
-                self.pool.append(task_id)
-                self.not_before[task_id] = death_time
-                self._emit(
-                    death_time, "fallback", task_id,
-                    detail=f"region {region_id} died",
-                )
-            return
-        if self.policy.repair and len(self.repairs) < self.policy.max_repairs:
+        if not fallback_ok and (
+            self.policy.repair and len(self.repairs) < self.policy.max_repairs
+        ):
             if self._repair(death_time, region_id):
                 return
         for task_id in sorted(victims):
-            task = self.graph.task(task_id)
-            if self.policy.sw_fallback and task.has_sw:
-                self.fallback_impl[task_id] = task.fastest_sw()
-                self.pool.append(task_id)
-                self.not_before[task_id] = death_time
-                self._emit(
-                    death_time, "fallback", task_id,
-                    detail=f"region {region_id} died",
-                )
+            if self.policy.sw_fallback and self.graph.task(task_id).has_sw:
+                self._to_fallback(task_id, death_time, cause)
             else:
-                self.resolved[task_id] = death_time
-                self.failed.add(task_id)
-                self._emit(
-                    death_time, "failed", task_id,
-                    detail=f"region {region_id} died; no recovery path",
-                )
+                self._give_up(task_id, death_time, f"{cause}; no recovery path")
 
     def _truncate_region_activities(
         self, region_id: str, death_time: float
@@ -764,24 +541,12 @@ class _Engine:
                 )
             # activities starting at/after the death vanish entirely
         self.activities = updated
-        # Events the aborted executions emitted past the death instant
-        # never happened (the per-victim "fault" events are emitted by
-        # the caller, after this scrub).
-        self.trace.events[:] = [
-            e
-            for e in self.trace.events
-            if not (
-                e.subject in scrubbed
-                and e.time > death_time - EPS
-                and e.kind in ("start", "end", "fault", "retry")
-            )
-        ]
+        # The per-victim "fault" events are emitted by the caller,
+        # after this scrub.
+        self._scrub_trace(scrubbed, death_time)
         # tasks whose work was aborted are no longer queued anywhere
         for task_id in victims:
-            for queue in self.region_tasks.values():
-                if task_id in queue:
-                    queue.remove(task_id)
-            self._drop_reconf(task_id)
+            self._unqueue_hw(task_id)
         return victims
 
     # -- online repair scheduling --------------------------------------------
@@ -838,91 +603,32 @@ class _Engine:
 
     # -- deadlock diagnostics -------------------------------------------------
 
-    def _raise_deadlock(self) -> None:
+    def _stuck_loads(self) -> tuple[dict[str, str], list[str]]:
         blocked: dict[str, str] = {}
-        for controller, queue in self.controller_queues.items():
-            if queue:
-                rc = queue[0]
-                blocked[f"ICAP{controller}"] = (
-                    f"reconfiguration for {rc.outgoing_task!r} waits on "
-                    f"ingoing task {rc.ingoing_task!r} (unfinished)"
-                )
-        for rid, queue in self.region_tasks.items():
-            if queue:
-                blocked[rid] = self._task_block_reason(queue[0])
-        for proc, queue in self.proc_tasks.items():
-            if queue:
-                blocked[f"P{proc}"] = self._task_block_reason(queue[0])
-        for task_id in self.pool:
-            blocked[f"pool:{task_id}"] = self._task_block_reason(task_id)
-        stuck = sorted(
-            set(self.schedule.tasks)
-            - set(self.task_end)
-            - self.failed
-            - self.skipped
-        )
         pending: list[str] = []
-        for time, region_id in self.deaths:
-            pending.append(f"t={time:g} region-death {region_id}")
         for controller in sorted(self.controller_queues):
-            for rc in self.controller_queues[controller]:
-                pending.append(
-                    f"ICAP{controller} reconf:{rc.outgoing_task} "
-                    f"(after {rc.ingoing_task!r})"
+            queue = self.controller_queues[controller]
+            if queue:
+                blocked[f"ICAP{controller}"] = (
+                    f"reconfiguration for {queue[0].outgoing_task!r} waits on "
+                    f"ingoing task {queue[0].ingoing_task!r} (unfinished)"
                 )
-        for rid in sorted(self.region_tasks):
-            if self.region_tasks[rid]:
-                pending.append(f"{rid} queue: {self.region_tasks[rid][:6]}")
-        for proc in sorted(self.proc_tasks):
-            if self.proc_tasks[proc]:
-                pending.append(f"P{proc} queue: {self.proc_tasks[proc][:6]}")
-        if self.pool:
-            pending.append(f"fallback pool: {sorted(self.pool)[:6]}")
-        raise DeadlockError(
-            blocked,
-            stuck,
-            pending_events=pending,
-            blocking_dependency={
-                task_id: dep
-                for task_id in stuck
-                if (dep := self._earliest_unsatisfied_dependency(task_id))
-            },
-        )
-
-    def _earliest_unsatisfied_dependency(self, task_id: str) -> str | None:
-        """The unfinished predecessor that blocks first (by planned
-        start, then id) — the root cause to chase in a deadlock."""
-        missing = [
-            p
-            for p in self.graph.predecessors(task_id)
-            if p not in self.task_end and p not in self.resolved
-        ]
-        if not missing:
-            return None
-        planned = self.schedule.tasks
-        return min(
-            missing,
-            key=lambda p: (
-                planned[p].start if p in planned else float("inf"),
-                p,
-            ),
-        )
-
-    def _task_block_reason(self, task_id: str) -> str:
-        missing = [
-            p
-            for p in self.graph.predecessors(task_id)
-            if p not in self.task_end and p not in self.resolved
-        ]
-        if missing:
-            return (
-                f"task {task_id!r} waits on unfinished predecessor(s) "
-                f"{missing[:4]}"
+            pending.extend(
+                f"ICAP{controller} reconf:{rc.outgoing_task} "
+                f"(after {rc.ingoing_task!r})"
+                for rc in queue
             )
-        if task_id in self.reconf_for and task_id not in self.reconf_end:
-            rc = self.reconf_for[task_id]
-            return (
-                f"task {task_id!r} waits for its bitstream "
-                f"(load queued on ICAP{rc.controller})"
-            )
-        return f"task {task_id!r} is runnable but was never dispatched"
+        return blocked, pending
+
+    def _block_reason(self, task_id: str) -> str:
+        rc = self.reconf_for.get(task_id)
+        if (
+            rc is None
+            or task_id in self.reconf_end
+            or self._missing_preds(task_id)
+        ):
+            return super()._block_reason(task_id)
+        return (
+            f"task {task_id!r} waits for its bitstream "
+            f"(load queued on ICAP{rc.controller})"
+        )

@@ -347,6 +347,59 @@ class TestSimulate:
         assert code == 2
         assert "unknown region" in capsys.readouterr().err
 
+    def test_schedule_for_another_instance_rejected(
+        self, tmp_path, schedule_file, capsys
+    ):
+        other = tmp_path / "other.json"
+        assert main(["generate", "--tasks", "8", "--seed", "1", "-o", str(other)]) == 0
+        capsys.readouterr()
+        code = main(["simulate", str(other), str(schedule_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule was not made for this instance")
+        assert "not in the instance" in err
+
+
+def _trace_without_architecture_name() -> dict:
+    from repro.online import feasible_trace
+
+    data = feasible_trace(seed=0, jobs=2).to_dict()
+    del data["architecture"]["name"]
+    return data
+
+
+class TestMalformedJSON:
+    """Bad input files end in ``error:`` and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, what, payload",
+        [
+            ("online", "trace", {"name": "x"}),
+            ("online", "trace", [1, 2]),
+            ("online", "trace", _trace_without_architecture_name()),
+            ("simulate", "schedule", {}),
+            ("simulate", "schedule", {"tasks": {}}),
+        ],
+        ids=[
+            "trace-no-architecture",
+            "trace-not-an-object",
+            "trace-architecture-no-name",
+            "schedule-empty",
+            "schedule-no-regions",
+        ],
+    )
+    def test_error_not_traceback(
+        self, tmp_path, instance_file, capsys, command, what, payload
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = [command, str(bad)]
+        if command == "simulate":
+            argv = [command, str(instance_file), str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed {what} JSON: ")
+
 
 class TestExperiments:
     def test_tiny_fig3(self, capsys, monkeypatch):

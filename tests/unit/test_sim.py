@@ -56,6 +56,16 @@ class TestExactReplay:
         assert result.task_start["b"] == pytest.approx(40.0)
 
 
+class TestPlanInstanceMismatch:
+    """A schedule only replays on the instance it was made for."""
+
+    @pytest.mark.parametrize("plan_tasks, run_tasks", [(8, 12), (12, 8)])
+    def test_rejected(self, plan_tasks, run_tasks):
+        schedule = do_schedule(paper_instance(plan_tasks, seed=1))
+        with pytest.raises(ValueError, match="not made for this instance"):
+            simulate(paper_instance(run_tasks, seed=2), schedule)
+
+
 class TestJitter:
     def test_jitter_model_deterministic(self):
         model = jitter_model(factor=0.2, seed=1)
