@@ -33,7 +33,7 @@ def test_backtrack_engine(benchmark, region_sets):
 
 
 def test_milp_engine(benchmark, region_sets):
-    planner = Floorplanner(zynq_7z020(), engine="milp", cache=False, time_limit=10.0)
+    planner = Floorplanner(zynq_7z020(), engine="milp", cache=False)
 
     def run():
         return [planner.check(s).feasible for s in region_sets]
@@ -44,7 +44,7 @@ def test_milp_engine(benchmark, region_sets):
 
 def test_engines_agree(region_sets):
     bt = Floorplanner(zynq_7z020(), engine="backtrack", cache=False)
-    milp = Floorplanner(zynq_7z020(), engine="milp", cache=False, time_limit=10.0)
+    milp = Floorplanner(zynq_7z020(), engine="milp", cache=False)
     for regions in region_sets:
         a = bt.check(regions)
         b = milp.check(regions)

@@ -133,6 +133,8 @@ class InstanceRecord:
     floorplan_candidate_memo_hits: int = 0
     floorplan_engine_time: float = 0.0
     floorplan_query_time: float = 0.0
+    floorplan_dfs_nodes: int = 0
+    floorplan_budget_exhausted: int = 0
     # IS-k search-engine observability (trail DFS overhaul); defaults
     # again keep older quality.json files loadable.
     is1_nodes: int = 0
@@ -295,6 +297,9 @@ class QualityResults:
         (exact-key plus dominance-lattice hits); ``engine [s]`` is the
         summed time actually spent in backtracking / MILP, versus the
         total wall-clock of all feasibility queries in ``query [s]``.
+        ``dfs nodes`` is the summed DFS work, and ``budget stops``
+        counts the verdicts its node budget decided (infeasible,
+        unproven): PA shrinks on those as on a proof.
         """
         rows = []
         for size in self.groups():
@@ -307,14 +312,17 @@ class QualityResults:
             memo = sum(r.floorplan_candidate_memo_hits for r in group)
             engine = sum(r.floorplan_engine_time for r in group)
             query = sum(r.floorplan_query_time for r in group)
+            nodes = sum(r.floorplan_dfs_nodes for r in group)
+            stops = sum(r.floorplan_budget_exhausted for r in group)
             hit_pct = 100.0 * (exact + dom) / queries if queries else 0.0
             rows.append(
                 (size, queries, exact, dom, f"{hit_pct:.1f}", memo,
-                 f"{engine:.3f}", f"{query:.3f}")
+                 f"{engine:.3f}", f"{query:.3f}", nodes, stops)
             )
         return render_table(
             ["# Tasks", "queries", "exact hits", "dom hits", "hit %",
-             "cand memo", "engine [s]", "query [s]"],
+             "cand memo", "engine [s]", "query [s]", "dfs nodes",
+             "budget stops"],
             rows,
             title="Floorplanner cache statistics (summed per group)",
         )
@@ -516,6 +524,8 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
         floorplan_candidate_memo_hits=fp_stats.get("candidate_memo_hits", 0),
         floorplan_engine_time=fp_stats.get("engine_time", 0.0),
         floorplan_query_time=fp_stats.get("query_time", 0.0),
+        floorplan_dfs_nodes=fp_stats.get("dfs_nodes", 0),
+        floorplan_budget_exhausted=fp_stats.get("budget_exhausted", 0),
         is1_nodes=s1.get("nodes_expanded", 0),
         is5_nodes=s5.get("nodes_expanded", 0),
         is5_bound_pruned=s5.get("bound_pruned", 0),

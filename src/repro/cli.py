@@ -54,7 +54,9 @@ def _cache_stats_line(stats: dict) -> str:
         f"floorplan cache: queries={stats['queries']} "
         f"exact_hits={stats['cache_hits']} dominance_hits={stats['dominance_hits']} "
         f"candidate_memo_hits={stats['candidate_memo_hits']} "
-        f"engine={stats['engine_time']:.3f}s query={stats['query_time']:.3f}s"
+        f"engine={stats['engine_time']:.3f}s query={stats['query_time']:.3f}s "
+        f"dfs_nodes={stats.get('dfs_nodes', 0)} "
+        f"budget_exhausted={stats.get('budget_exhausted', 0)}"
     )
 
 

@@ -13,13 +13,18 @@ it constantly:
 2. :func:`greedy_pack` — first-fit over several deterministic orderings
    (and a few seeded shuffles); succeeds for the typical
    moderately-utilized region sets in microseconds.
-3. :func:`solve_backtracking` — exact DFS with forward checking
-   (dynamic most-constrained-region selection, pruning as soon as some
-   unplaced region has no surviving placement) under a node budget.
+3. :func:`solve_backtracking` — exact DFS with forward checking under a
+   node budget.  Each region's surviving candidates are one integer
+   bitmask.  Placing a candidate filters every other region with one
+   AND-NOT against a *conflict row* (the bitmask of that region's
+   candidates overlapping the placement, memoised per call on the
+   candidate list and the placement's cell mask), and the same pass
+   picks the most-constrained region to place next.
 
 Budget exhaustion reports infeasible-but-unproven; the PA loop treats
 that like a rejection (shrink and retry), matching the paper's use of
-the floorplanner as a bounded oracle.
+the floorplanner as a bounded oracle.  The budget counts placement
+attempts only, so every verdict is a function of the input alone.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ __all__ = [
     "greedy_pack",
     "solve_backtracking",
 ]
+
+
+_ABOVE_ANY_COUNT = 1 << 62  # starts the fewest-survivors minimum
 
 
 @dataclass
@@ -158,12 +166,13 @@ def solve_backtracking(
     device: FabricDevice,
     candidates_per_region: list[list[Placement]],
     node_limit: int = 50_000,
-    time_limit: float | None = 1.0,
 ) -> BacktrackResult:
-    """Exact DFS with forward checking under a node/time budget.
+    """Exact DFS with forward checking under a node budget.
 
     ``candidates_per_region[i]`` are the feasible placements of region
-    ``i``.  Returns placements in the input region order.
+    ``i``.  Returns placements in the input region order.  The verdict
+    depends on the input only: the budget counts placement attempts,
+    never seconds (``elapsed`` is reported, not read).
     """
     start = _time.perf_counter()
     n = len(candidates_per_region)
@@ -184,69 +193,70 @@ def solve_backtracking(
         )
 
     masks = _mask_lists(device, candidates_per_region)
+    # Conflict rows, memoised per unique candidate list:
+    # ``rows[r][mask]`` has bit ``i`` set iff r's candidate ``i``
+    # overlaps the cells of ``mask``.
+    by_list: dict[int, dict[int, int]] = {}
+    rows = [by_list.setdefault(id(m), {}) for m in masks]
     chosen: list[int] = [-1] * n
     nodes = 0
-    deadline = None if time_limit is None else start + time_limit
     exhausted = False
 
-    def dfs(unplaced: list[int], occupied: int, live: list[int]) -> bool:
-        """``live[r]`` is a bitmask over r's candidate indices that
-        still fit the current occupancy (forward checking).  Integer
-        live sets make the per-node copy O(regions) machine words and
-        the conflict filter a tight AND/OR loop over set bits."""
+    def dfs(region: int, unplaced: list[int], live: list[int]) -> bool:
+        """Place ``region`` (the most constrained of ``unplaced``),
+        then the rest.
+
+        ``live[r]`` is a bitmask over r's candidate indices that fit
+        beside every placement made so far.  Placing candidate ``idx``
+        filters each other region with one AND-NOT against its conflict
+        row, and the same pass picks the region with the fewest
+        survivors (lowest index on ties) to place next.
+        """
         nonlocal nodes, exhausted
-        if not unplaced:
-            return True
-        # Most-constrained region next.
-        region = min(unplaced, key=lambda r: (live[r].bit_count(), r))
-        pending = live[region]
-        if not pending:
-            return False
         remaining = [r for r in unplaced if r != region]
         region_masks = masks[region]
+        pending = live[region]
         while pending:
             low = pending & -pending
             pending ^= low
             idx = low.bit_length() - 1
             nodes += 1
-            if nodes > node_limit or (
-                deadline is not None
-                and nodes % 256 == 0
-                and _time.perf_counter() > deadline
-            ):
+            if nodes > node_limit:
                 exhausted = True
                 return False
             mask = region_masks[idx]
-            if occupied & mask:
-                continue
-            # Forward-check: filter every other region's candidates.
-            next_live = list(live)
-            dead_end = False
+            next_live = live[:]
+            best_count = _ABOVE_ANY_COUNT
+            best = -1
             for other in remaining:
-                other_masks = masks[other]
-                survivors = 0
-                rest = live[other]
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if not (other_masks[bit.bit_length() - 1] & mask):
-                        survivors |= bit
+                table = rows[other]
+                row = table.get(mask)
+                if row is None:
+                    row = 0
+                    for i, other_mask in enumerate(masks[other]):
+                        if other_mask & mask:
+                            row |= 1 << i
+                    table[mask] = row
+                survivors = live[other] & ~row
                 if not survivors:
-                    dead_end = True
                     break
                 next_live[other] = survivors
-            if dead_end:
-                continue
-            chosen[region] = idx
-            if dfs(remaining, occupied | mask, next_live):
-                return True
-            if exhausted:
-                return False
+                count = survivors.bit_count()
+                if count < best_count:
+                    best_count = count
+                    best = other
+            else:  # every other region kept a survivor
+                chosen[region] = idx
+                if best < 0 or dfs(best, remaining, next_live):
+                    return True
+                if exhausted:
+                    return False
         chosen[region] = -1
         return False
 
     initial_live = [(1 << len(masks[r])) - 1 for r in range(n)]
-    found = dfs(list(range(n)), 0, initial_live)
+    root = min(range(n), key=lambda r: len(masks[r]))  # first on ties
+    found = dfs(root, list(range(n)), initial_live)
     elapsed = _time.perf_counter() - start
     if found:
         placements = [candidates_per_region[i][chosen[i]] for i in range(n)]

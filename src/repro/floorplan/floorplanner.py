@@ -239,6 +239,10 @@ class Floorplanner:
         (reference [3] selection model on HiGHS) or ``"both"``
         (backtrack first, MILP as the tie-breaker when the DFS budget
         runs out unproven).
+    node_limit:
+        Work budget per engine run: DFS placement attempts, or HiGHS
+        branch-and-bound nodes.  No verdict reads the clock, so a query
+        gets the same answer on any machine under any load.
     max_candidates:
         Cap on feasible placements enumerated per region.
     cache:
@@ -247,6 +251,10 @@ class Floorplanner:
         Monotone dominance index in front of the engines (requires
         ``cache``); ``False`` reproduces the PR-2 exact-key-only
         behaviour, which the cache benchmarks compare against.
+
+    ``stats["dfs_nodes"]`` sums the DFS nodes of every engine run, and
+    ``stats["budget_exhausted"]`` counts the verdicts a budget decided
+    (infeasible, unproven).
     """
 
     #: Per-direction cap on the dominance index; oldest entries are
@@ -259,7 +267,6 @@ class Floorplanner:
         device: FabricDevice,
         engine: str = "backtrack",
         node_limit: int = 50_000,
-        time_limit: float = 1.0,
         max_candidates: int | None = 400,
         cache: bool = True,
         dominance: bool = True,
@@ -269,7 +276,6 @@ class Floorplanner:
         self.device = device
         self.engine = engine
         self.node_limit = node_limit
-        self.time_limit = time_limit
         self.max_candidates = max_candidates
         self._cache: dict | None = {} if cache else None
         self.dominance = dominance and cache
@@ -286,6 +292,8 @@ class Floorplanner:
             "query_time": 0.0,
             "feasible": 0,
             "infeasible": 0,
+            "dfs_nodes": 0,
+            "budget_exhausted": 0,
         }
 
     @classmethod
@@ -328,6 +336,8 @@ class Floorplanner:
             if self.dominance:
                 self._dominance_insert(ids, demands, result)
         self.stats["feasible" if result.feasible else "infeasible"] += 1
+        if result.stats.get("reason") == "budget":
+            self.stats["budget_exhausted"] += 1
         return result
 
     def _finish(self, result: FloorplanResult, t_query: float) -> FloorplanResult:
@@ -554,12 +564,8 @@ class Floorplanner:
         ]
 
         if self.engine in ("backtrack", "both"):
-            bt = solve_backtracking(
-                self.device,
-                candidates,
-                node_limit=self.node_limit,
-                time_limit=self.time_limit,
-            )
+            bt = solve_backtracking(self.device, candidates, self.node_limit)
+            self.stats["dfs_nodes"] += bt.nodes
             if bt.feasible or bt.proven or self.engine == "backtrack":
                 return FloorplanResult(
                     feasible=bt.feasible,
@@ -573,7 +579,7 @@ class Floorplanner:
                         **bt.stats,
                     },
                 )
-        mr = solve_milp(self.device, candidates, time_limit=self.time_limit)
+        mr = solve_milp(self.device, candidates, self.node_limit)
         return FloorplanResult(
             feasible=mr.feasible,
             placements=_zip_placements(ids, mr.placements),

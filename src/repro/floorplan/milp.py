@@ -37,9 +37,13 @@ class MilpResult:
 def solve_milp(
     device: FabricDevice,
     candidates_per_region: list[list[Placement]],
-    time_limit: float | None = 5.0,
+    node_limit: int = 50_000,
 ) -> MilpResult:
-    """Solve the placement-selection MILP; placements in input order."""
+    """Solve the placement-selection MILP; placements in input order.
+
+    ``node_limit`` caps HiGHS's branch-and-bound nodes, so the verdict
+    depends on the input only, never on the machine's speed.
+    """
     start = _time.perf_counter()
     n_regions = len(candidates_per_region)
     if n_regions == 0:
@@ -90,15 +94,12 @@ def solve_milp(
     lower[:n_select] = 1.0  # exactly one: 1 <= sum <= 1
     constraint = LinearConstraint(matrix, lower, upper)
 
-    options: dict = {"presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
     result = milp(
         c=np.zeros(n_vars),
         integrality=np.ones(n_vars),
         bounds=Bounds(0, 1),
         constraints=[constraint],
-        options=options,
+        options={"presolve": True, "node_limit": node_limit},
     )
     elapsed = _time.perf_counter() - start
 
@@ -109,9 +110,8 @@ def solve_milp(
                 chosen[var_region[var]] = var_placement[var]
         assert all(p is not None for p in chosen), "MILP returned partial selection"
         return MilpResult(True, list(chosen), True, elapsed, stats={"milp": result.message})
-    # status 2 = infeasible (proven); 1/4 = iteration or time limit.
-    proven = result.status == 2
-    return MilpResult(
-        False, None, proven, elapsed,
-        stats={"milp": result.message, "status": int(result.status)},
-    )
+    # status 2 = infeasible (proven); 1 = node limit; 4 = other failure.
+    stats = {"milp": result.message, "status": int(result.status)}
+    if result.status == 1:
+        stats["reason"] = "budget"
+    return MilpResult(False, None, result.status == 2, elapsed, stats=stats)

@@ -135,49 +135,17 @@ def _prune_contained_vector(candidates: list[Placement]) -> list[Placement]:
     return [p for p, d in zip(candidates, drop.tolist()) if not d]
 
 
-def _minimal_windows_scalar(
+def _minimal_windows(
     device: FabricDevice, needed: dict[str, int], height: int
 ) -> list[tuple[int, int]]:
-    """Minimal-width windows ``(left, width)`` for one height — the
-    reference sliding-window sweep."""
-    have: dict[str, int] = {r: 0 for r in needed}
-
-    def satisfied() -> bool:
-        return all(have[r] >= needed[r] for r in needed)
-
-    width = device.width
-    windows: list[tuple[int, int]] = []
-    left = device.reserved_columns
-    right = device.reserved_columns
-    while left < width:
-        while right < width and not satisfied():
-            spec = device.specs[device.columns[right]]
-            if spec.kind in have:
-                have[spec.kind] += spec.resources * height
-            right += 1
-        if not satisfied():
-            break  # no window starting at `left` (or beyond) works
-        windows.append((left, right - left))
-        # Slide: drop the leftmost column.
-        spec = device.specs[device.columns[left]]
-        if spec.kind in have:
-            have[spec.kind] -= spec.resources * height
-        left += 1
-    return windows
-
-
-def _minimal_windows_vector(
-    device: FabricDevice, needed: dict[str, int], height: int
-) -> list[tuple[int, int]]:
-    """Vectorized :func:`_minimal_windows_scalar`.
+    """Minimal-width windows ``(left, width)`` for one height.
 
     The window ``[left, right)`` satisfies kind ``r`` iff the per-kind
     column prefix sum grows by ``ceil(needed_r / height)`` cells across
     it, so the minimal right edge per kind is one ``searchsorted`` over
     all lefts at once, and the overall minimal right is their maximum.
     Minimal right edges are non-decreasing in ``left`` (prefix sums are
-    monotone), which reproduces the scalar sweep's early ``break``: the
-    first unsatisfiable left ends the enumeration.
+    monotone), so the first unsatisfiable left ends the enumeration.
     """
     geometry = device.packed_geometry()
     width = device.width
@@ -231,7 +199,7 @@ def candidate_placements(
     for height in range(1, device.rows + 1):
         # Minimal window per anchor column: per-column supply scales
         # linearly with height, so each height is an independent sweep.
-        for left, w in _minimal_windows_vector(device, needed, height):
+        for left, w in _minimal_windows(device, needed, height):
             for row in range(0, device.rows - height + 1):
                 candidates.append(
                     Placement(col=left, row=row, width=w, height=height)

@@ -62,7 +62,7 @@ def test_backtrack_solutions_are_sound(data):
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
     candidates = [candidate_placements(device, d, 100) for d in demands]
-    result = solve_backtracking(device, candidates, node_limit=5000, time_limit=None)
+    result = solve_backtracking(device, candidates, node_limit=5000)
     if result.feasible:
         placements = result.placements
         assert len(placements) == len(demands)
@@ -80,8 +80,8 @@ def test_backtrack_and_milp_agree_when_proven(data):
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
     candidates = [candidate_placements(device, d, 60) for d in demands]
-    bt = solve_backtracking(device, candidates, node_limit=20000, time_limit=None)
-    mr = solve_milp(device, candidates, time_limit=10.0)
+    bt = solve_backtracking(device, candidates, node_limit=20000)
+    mr = solve_milp(device, candidates)
     if bt.proven and mr.proven:
         assert bt.feasible == mr.feasible
 
@@ -91,7 +91,7 @@ def test_backtrack_and_milp_agree_when_proven(data):
 def test_floorplanner_facade_consistent_with_cache(data):
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
-    planner = Floorplanner(device, time_limit=0.5)
+    planner = Floorplanner(device)
     first = planner.check(demands)
     second = planner.check(demands)  # cache hit
     assert first.feasible == second.feasible
@@ -133,7 +133,7 @@ def test_feasibility_monotone_under_shrinking(data):
     """
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
-    cold = Floorplanner(device, cache=False, max_candidates=None, time_limit=None)
+    cold = Floorplanner(device, cache=False, max_candidates=None)
     base = cold.check(demands)
     if not (base.feasible and base.proven):
         return
@@ -157,8 +157,8 @@ def test_dominance_answer_matches_cold_solve(data):
     """
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
-    warm = Floorplanner(device, max_candidates=None, time_limit=None)
-    cold = Floorplanner(device, cache=False, max_candidates=None, time_limit=None)
+    warm = Floorplanner(device, max_candidates=None)
+    cold = Floorplanner(device, cache=False, max_candidates=None)
     warm.check(demands)
 
     queries = [data.draw(shrunk(demands))]
@@ -190,13 +190,11 @@ def test_superset_infeasibility_monotone(data):
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
     candidates = [candidate_placements(device, d, 60) for d in demands]
-    base = solve_backtracking(device, candidates, node_limit=5000, time_limit=None)
+    base = solve_backtracking(device, candidates, node_limit=5000)
     if not base.feasible and base.proven:
         extra = demands + [ResourceVector({"CLB": 1})]
         extra_cands = candidates + [
             candidate_placements(device, extra[-1], 60)
         ]
-        again = solve_backtracking(
-            device, extra_cands, node_limit=5000, time_limit=None
-        )
+        again = solve_backtracking(device, extra_cands, node_limit=5000)
         assert not (again.feasible and again.proven and not base.feasible) or not again.feasible

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.timing import PrecedenceGraph
 from repro.floorplan.device import small_device
 from repro.floorplan.placements import (
-    _minimal_windows_scalar,
-    _minimal_windows_vector,
+    _minimal_windows,
     _prune_contained,
     _prune_contained_vector,
     Placement,
@@ -86,12 +85,33 @@ def window_queries(draw):
     return device, needed, height
 
 
+def _meets(device, needed, height, left, width) -> bool:
+    """Do columns ``[left, left + width)`` at ``height`` rows supply
+    ``needed``?"""
+    have = dict.fromkeys(needed, 0)
+    for col in range(left, left + width):
+        spec = device.specs[device.columns[col]]
+        if spec.kind in have:
+            have[spec.kind] += spec.resources * height
+    return all(have[kind] >= amount for kind, amount in needed.items())
+
+
 @given(window_queries())
-def test_minimal_windows_vector_matches_scalar(query):
+def test_minimal_windows_follow_the_definition(query):
+    """Each window meets the demand, one column narrower it does not,
+    and every left edge with some feasible window is listed once."""
     device, needed, height = query
-    assert _minimal_windows_vector(device, needed, height) == (
-        _minimal_windows_scalar(device, needed, height)
-    )
+    windows = _minimal_windows(device, needed, height)
+    for left, width in windows:
+        assert left >= device.reserved_columns
+        assert _meets(device, needed, height, left, width)
+        assert not _meets(device, needed, height, left, width - 1)
+    feasible_lefts = [
+        left
+        for left in range(device.reserved_columns, device.width)
+        if _meets(device, needed, height, left, device.width - left)
+    ]
+    assert [left for left, _ in windows] == feasible_lefts
 
 
 @st.composite

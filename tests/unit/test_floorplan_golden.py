@@ -193,7 +193,7 @@ def test_cases_cover_every_verdict_kind():
 def test_dfs_decisions_pinned(preset, demands, feasible, proven, nodes, reason, rectangles):
     device = device_for_architecture(preset_architecture(preset))
     candidates = [candidate_placements(device, d, 400) for d in demands]
-    result = solve_backtracking(device, candidates, time_limit=None)
+    result = solve_backtracking(device, candidates)
     chosen = (
         None
         if result.placements is None

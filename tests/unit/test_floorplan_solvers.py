@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.floorplan import backtrack
 from repro.floorplan import (
     Floorplanner,
     candidate_placements,
@@ -13,6 +14,8 @@ from repro.floorplan import (
     zynq_7z020,
 )
 from repro.model import Region, ResourceVector
+
+from .test_floorplan_golden import case
 
 
 @pytest.fixture
@@ -97,12 +100,23 @@ class TestBacktracking:
     def test_budget_degrades_gracefully(self):
         device = zynq_7z020()
         demands = [ResourceVector({"CLB": 400}) for _ in range(20)]
-        result = solve_backtracking(
-            device, cands(device, demands), node_limit=1, time_limit=None
-        )
+        result = solve_backtracking(device, cands(device, demands), node_limit=1)
         # Greedy fast-path may still solve it; if not, it must be
         # reported as unproven.
         assert result.feasible or not result.proven
+
+    def test_verdict_ignores_the_clock(self, monkeypatch):
+        """A clock running 100x fast leaves a DFS-proven verdict as pinned."""
+        device, demands = case("12-3-a")
+        candidates = cands(device, demands, 400)
+        real = backtrack._time.perf_counter
+        origin = real()
+        monkeypatch.setattr(
+            backtrack._time, "perf_counter", lambda: origin + 100 * (real() - origin)
+        )
+        result = solve_backtracking(device, candidates)
+        assert (result.feasible, result.proven, result.nodes) == (False, True, 7842)
+        assert result.stats["reason"] == "exhaustive"
 
 
 class TestMilp:
@@ -167,6 +181,27 @@ class TestFloorplanner:
         planner = Floorplanner(device, engine="milp")
         result = planner.check([ResourceVector({"CLB": 200})])
         assert result.feasible and result.engine == "milp"
+
+    def test_budget_stop_is_counted(self):
+        device, demands = case("24-12-b")
+        planner = Floorplanner(device)
+        result = planner.check(demands)
+        assert not result.feasible and not result.proven
+        assert result.stats["reason"] == "budget"
+        assert planner.stats["dfs_nodes"] == 50_001
+        assert planner.stats["budget_exhausted"] == 1
+        # A cache hit does no engine work and decides nothing new.
+        planner.check(demands)
+        assert planner.stats["cache_hits"] == 1
+        assert planner.stats["dfs_nodes"] == 50_001
+        assert planner.stats["budget_exhausted"] == 1
+
+    def test_proven_verdict_is_not_a_budget_stop(self):
+        device, demands = case("16-28-a")
+        planner = Floorplanner(device)
+        assert planner.check(demands).feasible
+        assert planner.stats["dfs_nodes"] == 3387
+        assert planner.stats["budget_exhausted"] == 0
 
     def test_unknown_engine(self, device):
         with pytest.raises(ValueError):
