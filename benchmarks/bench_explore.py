@@ -10,20 +10,16 @@ gate here:
 2. **Cross-point warm starts** — a floorplan-heavy pa grid (region
    budgets x reconfiguration frequencies, all hammering overlapping
    demand sets) swept with a shared per-fabric floorplanner vs. the
-   same grid with warm starts disabled (= fresh planner per cell, no
-   hints: genuinely independent solves).  The warm sweep must be
+   same grid with warm starts disabled (= fresh planner per cell:
+   genuinely independent solves).  The warm sweep must be
    measurably faster on CPU time, must show real warm-start work
    (planner cache hits), and must select *decision-identical*
    schedules.  The timing probe runs in a subprocess with
    ``PYTHONHASHSEED=0`` and GC parked: hash-seed-dependent dict
    iteration shifts per-query cost by more than the warm-start margin,
    so an unpinned comparison measures the hash seed, not the engine.
-   A second, IS-k-bearing grid re-checks identity with incumbent
-   hints in play (the proof-or-rerun protocol) — same placements,
-   same makespans; only search-provenance metadata (node counts) may
-   differ.
 3. **Deterministic parallel drain** — serial and ``jobs=2`` sweeps of
-   the same grid must produce bit-identical canonical payloads
+   a mixed pa / IS-k grid must produce bit-identical canonical payloads
    (wall-clock fields stripped).
 
 Runs standalone (JSON out) or under pytest::
@@ -75,7 +71,7 @@ _PROFILES = {
             region_budgets=[None, 2, 4, 8],
             fabric_scales=[1.0, 0.9],
         ),
-        hints=dict(
+        parallel=dict(
             algorithms=["pa", "is-1", "is-2", "is-3"],
             rec_freqs=[None, 1600.0],
             fabric_scales=[1.0, 0.9],
@@ -99,7 +95,7 @@ _PROFILES = {
             region_budgets=[None, 1, 2, 4, 6, 8],
             fabric_scales=[1.0, 0.9],
         ),
-        hints=dict(
+        parallel=dict(
             algorithms=["pa", "is-1", "is-2", "is-3"],
             rec_freqs=[None, 1600.0, 800.0],
             fabric_scales=[1.0, 0.9],
@@ -209,23 +205,13 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
             else float("inf")
         )
 
-        # Gate 2b: identity again with IS-k incumbent hints in play.
-        hints_spec = GridSpec(**params["hints"])
-        hinted = run_sweep(instance, hints_spec, warm_starts=True)
-        unhinted = run_sweep(instance, hints_spec, warm_starts=False)
-        assert _decision_signature(hinted) == _decision_signature(
-            unhinted
-        ), "IS-k hints changed a decision"
-        assert hinted.hint_stats.get("hint_windows", 0) > 0, (
-            "hint chain never fired"
-        )
-
         # Gate 3: serial == parallel, bit-identical canonical payload.
+        parallel_spec = GridSpec(**params["parallel"])
         serial = run_sweep(
-            instance, hints_spec, store=ResultStore(root / "s1"), jobs=1
+            instance, parallel_spec, store=ResultStore(root / "s1"), jobs=1
         )
         parallel = run_sweep(
-            instance, hints_spec, store=ResultStore(root / "s2"), jobs=2
+            instance, parallel_spec, store=ResultStore(root / "s2"), jobs=2
         )
         assert parallel.chains > 1, "need >1 chain to exercise the pool"
         parallel_identical = (
@@ -244,9 +230,9 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
                     "points": probe["points"],
                     "unique": probe["unique"],
                 },
-                "hints": {
-                    "points": hinted.total_points,
-                    "chains": hinted.chains,
+                "parallel": {
+                    "points": parallel.total_points,
+                    "chains": parallel.chains,
                 },
             },
             "timings_s": {
@@ -262,9 +248,6 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
             "warm_start_work": {
                 "planner_cache_hits": probe["planner_cache_hits"],
                 "planner_dominance_hits": probe["planner_dominance_hits"],
-                "hint_windows": hinted.hint_stats.get("hint_windows", 0),
-                "hint_pruned": hinted.hint_stats.get("hint_pruned", 0),
-                "hint_reruns": hinted.hint_stats.get("hint_reruns", 0),
             },
             "front": cold.front,
             "gates": {
@@ -274,7 +257,6 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
                 >= MIN_WARM_START_SPEEDUP,
                 "warm_starts_did_work": warm_work > 0,
                 "warm_start_decisions_identical": True,  # asserted above
-                "hinted_decisions_identical": True,  # asserted above
                 "serial_parallel_identical": parallel_identical,
             },
         }
@@ -292,8 +274,7 @@ def test_explore_gates():
         f"{report['speedup']['warm_resweep_vs_cold']:.1f}, "
         f"warm starts x"
         f"{report['speedup']['warm_starts_vs_independent']:.2f} "
-        f"({report['warm_start_work']['planner_cache_hits']} planner hits, "
-        f"{report['warm_start_work']['hint_windows']} hinted windows)"
+        f"({report['warm_start_work']['planner_cache_hits']} planner hits)"
     )
     failed = [name for name, ok in report["gates"].items() if not ok]
     assert not failed, f"gates failed: {failed}: {report}"

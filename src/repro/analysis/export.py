@@ -29,7 +29,7 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
     is5_time, pa_r_budget, pa_r_iterations, pa_feasible, plus the
     floorplanner cache counters (queries / exact / dominance /
     candidate-memo hits and engine vs query wall-clock) and the IS-k
-    search-engine counters (nodes, bound/memo prunes, incumbent seeds,
+    search counters (nodes, bound prunes, incumbent seeds,
     fallback completions, undo-trail high-water mark, fan-out), and the
     PA energy breakdown under the reference ZedBoard power model
     (static / dynamic / reconfiguration / total, microjoules).
@@ -46,9 +46,8 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
             "floorplan_dominance_hits", "floorplan_candidate_memo_hits",
             "floorplan_engine_time", "floorplan_query_time",
             "is1_nodes", "is5_nodes", "is5_bound_pruned",
-            "is5_memo_hits", "is5_memo_entries", "is5_incumbent_seeds",
-            "is5_fallback_completions", "is5_max_undo_depth",
-            "is5_fanout_windows", "is5_jobs",
+            "is5_incumbent_seeds", "is5_fallback_completions",
+            "is5_max_undo_depth", "is5_fanout_windows", "is5_jobs",
             "pa_energy_static_j", "pa_energy_dynamic_j",
             "pa_energy_reconf_j", "pa_energy_total_j", "devices_used",
         ]
@@ -64,9 +63,8 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
                 r.floorplan_dominance_hits, r.floorplan_candidate_memo_hits,
                 r.floorplan_engine_time, r.floorplan_query_time,
                 r.is1_nodes, r.is5_nodes, r.is5_bound_pruned,
-                r.is5_memo_hits, r.is5_memo_entries, r.is5_incumbent_seeds,
-                r.is5_fallback_completions, r.is5_max_undo_depth,
-                r.is5_fanout_windows, r.is5_jobs,
+                r.is5_incumbent_seeds, r.is5_fallback_completions,
+                r.is5_max_undo_depth, r.is5_fanout_windows, r.is5_jobs,
                 r.pa_energy_static_j, r.pa_energy_dynamic_j,
                 r.pa_energy_reconf_j, r.pa_energy_total_j, r.devices_used,
             ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..benchgen import paper_suite
@@ -135,13 +135,11 @@ class InstanceRecord:
     floorplan_query_time: float = 0.0
     floorplan_dfs_nodes: int = 0
     floorplan_budget_exhausted: int = 0
-    # IS-k search-engine observability (trail DFS overhaul); defaults
-    # again keep older quality.json files loadable.
+    # IS-k search observability; defaults again keep older
+    # quality.json files loadable.
     is1_nodes: int = 0
     is5_nodes: int = 0
     is5_bound_pruned: int = 0
-    is5_memo_hits: int = 0
-    is5_memo_entries: int = 0
     is5_incumbent_seeds: int = 0
     is5_fallback_completions: int = 0
     is5_max_undo_depth: int = 0
@@ -328,12 +326,11 @@ class QualityResults:
         )
 
     def render_search_stats(self) -> str:
-        """IS-k trail-engine effectiveness, aggregated per group.
+        """IS-k search effectiveness, aggregated per group.
 
-        ``bound`` / ``memo`` count branches cut by the incumbent
-        makespan bound and the window-state dominance memo; ``seeds``
-        and ``fallbacks`` count greedy incumbent completions and
-        budget-exhaustion recoveries; ``max trail`` is the undo-log
+        ``bound`` counts branches cut by the incumbent makespan bound;
+        ``seeds`` and ``fallbacks`` count greedy incumbent completions
+        and budget-exhaustion recoveries; ``max trail`` is the undo-log
         high-water mark (the in-place DFS's only state overhead).
         """
         rows = []
@@ -344,18 +341,17 @@ class QualityResults:
             nodes1 = sum(r.is1_nodes for r in group)
             nodes5 = sum(r.is5_nodes for r in group)
             bound = sum(r.is5_bound_pruned for r in group)
-            memo = sum(r.is5_memo_hits for r in group)
             seeds = sum(r.is5_incumbent_seeds for r in group)
             fallbacks = sum(r.is5_fallback_completions for r in group)
             max_trail = max((r.is5_max_undo_depth for r in group), default=0)
             fanout = sum(r.is5_fanout_windows for r in group)
             rows.append(
-                (size, nodes1, nodes5, bound, memo, seeds, fallbacks,
-                 max_trail, fanout)
+                (size, nodes1, nodes5, bound, seeds, fallbacks, max_trail,
+                 fanout)
             )
         return render_table(
-            ["# Tasks", "IS-1 nodes", "IS-5 nodes", "bound", "memo",
-             "seeds", "fallbacks", "max trail", "fanout wnd"],
+            ["# Tasks", "IS-1 nodes", "IS-5 nodes", "bound", "seeds",
+             "fallbacks", "max trail", "fanout wnd"],
             rows,
             title="IS-k search statistics (summed per group)",
         )
@@ -411,9 +407,14 @@ class QualityResults:
     @classmethod
     def from_json(cls, path: str | Path) -> "QualityResults":
         payload = json.loads(Path(path).read_text())
+        # Columns that were retired since the file was written drop out.
+        known = {f.name for f in fields(InstanceRecord)}
         return cls(
             config_profile=payload["profile"],
-            records=[InstanceRecord(**r) for r in payload["records"]],
+            records=[
+                InstanceRecord(**{k: v for k, v in r.items() if k in known})
+                for r in payload["records"]
+            ],
         )
 
 
@@ -529,8 +530,6 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
         is1_nodes=s1.get("nodes_expanded", 0),
         is5_nodes=s5.get("nodes_expanded", 0),
         is5_bound_pruned=s5.get("bound_pruned", 0),
-        is5_memo_hits=s5.get("memo_hits", 0),
-        is5_memo_entries=s5.get("memo_entries", 0),
         is5_incumbent_seeds=s5.get("incumbent_seeds", 0),
         is5_fallback_completions=s5.get("fallback_completions", 0),
         is5_max_undo_depth=s5.get("max_undo_depth", 0),

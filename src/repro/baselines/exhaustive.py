@@ -35,7 +35,6 @@ def exhaustive_schedule(
     node_limit: int | None = None,
     enable_module_reuse: bool = True,
     communication_overhead: bool = False,
-    engine: str = "trail",
     jobs: int = 1,
 ) -> ISKResult:
     """Exact search over the constructive decision space (see above)."""
@@ -46,7 +45,6 @@ def exhaustive_schedule(
         node_limit=node_limit if node_limit is not None else 10**9,
         enable_module_reuse=enable_module_reuse,
         communication_overhead=communication_overhead,
-        engine=engine,
         jobs=jobs,
     )
     result = ISKScheduler(options).schedule(instance)

@@ -23,28 +23,20 @@ IS-k *does* exploit module reuse (Section VII-A notes it as an
 IS-k-only feature) and reconfiguration prefetching, both inherited from
 :class:`~repro.baselines.partial.PartialSchedule`.
 
-Search engines
---------------
+Window search
+-------------
 
-``ISKOptions.engine`` selects between two decision-identical engines:
-
-* ``"trail"`` (default) — in-place DFS over the apply/undo trail of
-  :class:`~repro.baselines.partial.PartialSchedule` (do → recurse →
-  undo), with a window-state dominance memo, a greedy incumbent seed
-  (the rank-first descent, i.e. exactly the old DFS's first path), and
-  optional parallel first-level fan-out for k ≥ 2 (``jobs > 1``).
-* ``"copy"`` — the seed fork-per-option implementation, kept verbatim
-  as the reference baseline for the equivalence suite and
-  ``benchmarks/bench_isk_search.py``.
-
-Both engines rank options by the same key ``(partial makespan, Σ end,
-task end, impl name)``, apply the same ``branch_cap``/``node_limit``
-semantics, and update the incumbent with strict ``<`` (first found
-wins ties), so under non-binding node budgets they produce
-bit-identical schedules (see DESIGN.md § IS-k for the dominance /
-incumbent-seeding arguments; with a *binding* budget the memo makes
-the trail engine reach deeper before exhaustion, which can only
-improve the window solution).
+Each window is one depth-first branch-and-bound over the apply/undo
+trail of :class:`~repro.baselines.partial.PartialSchedule` (do →
+recurse → undo).  Options are ranked by ``(partial makespan, Σ end,
+task end, impl name)``; ``branch_cap`` caps the options tried per task
+when k > 1 and ``node_limit`` bounds the tree.  The incumbent starts
+at the greedy rank-first completion — the first leaf the DFS would
+reach anyway — and is replaced only by a strictly better leaf, so the
+first-found leaf wins ties (see DESIGN.md §10 for why the seed prunes
+nothing the unseeded search would have kept).  For k ≥ 2, ``jobs > 1``
+fans the first level out over worker processes with the same result.
+The decisions are pinned by ``tests/unit/test_isk_golden.py``.
 """
 
 from __future__ import annotations
@@ -59,9 +51,7 @@ from .partial import PartialSchedule
 
 __all__ = ["ISKOptions", "ISKResult", "ISKScheduler", "isk_schedule"]
 
-_ENGINES = ("trail", "copy")
-
-#: Frontier size from which the trail engine ranks options with the
+#: Frontier size from which the search ranks options with the
 #: batched numpy preview instead of the per-option loop.  Below it the
 #: numpy dispatch overhead outweighs the per-option Python arithmetic it
 #: replaces (measured crossover on the Table-I mix: the fill loop still
@@ -85,12 +75,9 @@ class ISKOptions:
     the branch-and-bound tree per iteration — both model how the
     authors bound Gurobi to keep IS-k "acceptable" on large graphs.
 
-    ``engine`` picks the search engine (``"trail"`` in-place DFS or the
-    seed ``"copy"`` fork-per-option DFS); ``memo`` and
-    ``incumbent_seed`` toggle the trail engine's dominance memo and
-    greedy incumbent bound; ``jobs`` enables parallel first-level
-    fan-out for k ≥ 2 (``-1`` = all CPUs; serial reduction is
-    deterministic, so any worker count yields the same schedule).
+    ``jobs`` enables parallel first-level fan-out for k ≥ 2 (``-1`` =
+    all CPUs; serial reduction is deterministic, so any worker count
+    yields the same schedule).
     """
 
     k: int = 1
@@ -98,9 +85,6 @@ class ISKOptions:
     node_limit: int = 50_000
     enable_module_reuse: bool = True
     communication_overhead: bool = False
-    engine: str = "trail"
-    memo: bool = True
-    incumbent_seed: bool = True
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -108,8 +92,6 @@ class ISKOptions:
             raise ValueError("k must be >= 1")
         if self.branch_cap < 1 or self.node_limit < 1:
             raise ValueError("branch_cap/node_limit must be >= 1")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
         if self.jobs < -1:
             raise ValueError("jobs must be >= -1")
 
@@ -120,9 +102,9 @@ class ISKResult:
 
     Mirrors :class:`~repro.core.scheduler.PAResult`'s ``makespan`` /
     ``total_time`` / ``feasible`` surface so report code can treat all
-    scheduler results uniformly.  ``stats`` carries search-engine
-    counters (nodes expanded, bound/memo prunes, incumbent seeds,
-    fallback completions, undo-trail high-water mark, fan-out windows).
+    scheduler results uniformly.  ``stats`` carries search counters
+    (nodes expanded, bound prunes, incumbent seeds, fallback
+    completions, undo-trail high-water mark, fan-out windows).
     """
 
     schedule: Schedule
@@ -158,35 +140,19 @@ class _Option:
     ref: int | str | None = None
 
 
-def _score(state: PartialSchedule) -> tuple[float, float]:
-    """Myopic window objective: (partial makespan, sum of ends)."""
-    return (state.makespan, sum(state.end.values()))
-
-
-def _init_stats(opts: "ISKOptions", jobs: int) -> dict:
+def _init_stats(jobs: int) -> dict:
     return {
-        "engine": opts.engine,
         "jobs": jobs,
         "nodes_expanded": 0,
         "bound_pruned": 0,
-        "memo_hits": 0,
-        "memo_entries": 0,
         "incumbent_seeds": 0,
         "fallback_completions": 0,
         "max_undo_depth": 0,
         "fanout_windows": 0,
-        "hint_windows": 0,
-        "hint_pruned": 0,
-        "hint_reruns": 0,
     }
 
 
-_WORKER_STAT_KEYS = (
-    "bound_pruned",
-    "memo_hits",
-    "memo_entries",
-    "fallback_completions",
-)
+_WORKER_STAT_KEYS = ("bound_pruned", "fallback_completions")
 
 
 def _fanout_worker(payload: tuple) -> tuple:
@@ -194,7 +160,7 @@ def _fanout_worker(payload: tuple) -> tuple:
 
     Module-level so the :mod:`repro.analysis.parallel` pool can pickle
     it; each worker's subtree is independent of its siblings (own
-    budget, own memo), which is what makes the fan-out bit-identical
+    budget), which is what makes the fan-out bit-identical
     for any worker count.
     """
     options, state, window, option, seed_score = payload
@@ -202,7 +168,7 @@ def _fanout_worker(payload: tuple) -> tuple:
     # serial fallback hands every payload the same state object).
     state = state.copy()
     scheduler = ISKScheduler(options)
-    stats = _init_stats(options, jobs=1)
+    stats = _init_stats(jobs=1)
     scheduler._apply(state, window[0], option)
     best_score, best_tail, nodes, _deepest = scheduler._dfs_search(
         state, window, 1, seed_score, stats
@@ -218,26 +184,8 @@ class ISKScheduler:
 
     # -- public API --------------------------------------------------------
 
-    def schedule(
-        self, instance: Instance, incumbent_hint: float | None = None
-    ) -> ISKResult:
-        """Run the iterative window scheduler.
-
-        ``incumbent_hint`` is an optional *external* upper bound on the
-        makespan (e.g. a neighboring design point's result in a sweep).
-        It is used purely as an extra prune threshold in the trail DFS
-        and is **provably result-neutral**: every window solve either
-        proves its hinted search identical to the unhinted one (all
-        hint-pruned subtrees contain only leaves strictly worse in the
-        first score component than a leaf that *was* found under the
-        hint), or — when that proof is unavailable because no leaf beat
-        the incumbent seed or the node budget bound — re-runs the window
-        without the hint (``stats["hint_reruns"]``).  Schedules are
-        therefore bit-identical with or without a hint, for *any* hint
-        value; a good hint only removes provably-losing work.  The hint
-        is ignored by the ``copy`` engine and by the parallel first-level
-        fan-out (``jobs > 1``), both of which simply run unhinted.
-        """
+    def schedule(self, instance: Instance) -> ISKResult:
+        """Run the iterative window scheduler."""
         t0 = _time.perf_counter()
         opts = self.options
         topo = instance.taskgraph.topological_order()
@@ -246,7 +194,7 @@ class ISKScheduler:
         from ..analysis.parallel import resolve_jobs
 
         jobs = resolve_jobs(opts.jobs)
-        stats = _init_stats(opts, jobs)
+        stats = _init_stats(jobs)
 
         state = PartialSchedule(
             instance,
@@ -257,12 +205,7 @@ class ISKScheduler:
         iterations = 0
         for chunk_start in range(0, len(topo), opts.k):
             window = topo[chunk_start : chunk_start + opts.k]
-            if opts.engine == "copy":
-                state, nodes = self._solve_window_copy(state, window)
-            else:
-                state, nodes = self._solve_window_trail(
-                    state, window, stats, jobs, hint=incumbent_hint
-                )
+            state, nodes = self._solve_window(state, window, stats, jobs)
             total_nodes += nodes
             iterations += 1
         stats["nodes_expanded"] = total_nodes
@@ -315,7 +258,7 @@ class ISKScheduler:
             region = state.create_region(option.impl.resources)
             state.place_hw(task_id, option.impl, region.id)
 
-    # -- trail engine ------------------------------------------------------
+    # -- window search -----------------------------------------------------
 
     def _preview_key(
         self, state: PartialSchedule, option: _Option, ready: float
@@ -328,8 +271,7 @@ class ISKScheduler:
         ``place_hw`` operation-for-operation (same ``max`` argument
         order, same addition order), so the previewed key is
         bit-identical to applying the option and reading the
-        incremental objective — which in turn matches the copy
-        engine's fork-and-score key.
+        incremental objective.
         """
         impl = option.impl
         makespan = state.makespan
@@ -362,9 +304,7 @@ class ISKScheduler:
     ) -> list[tuple[tuple[float, float, float, str], _Option]]:
         """Rank options by read-only preview — no state mutation, so
         only the branches the DFS actually explores pay for an
-        apply/undo.  Ordering is exactly the copy engine's
-        (``end_sum`` accumulates task ends in placement order, which is
-        the summation order of ``sum(end.values())``)."""
+        apply/undo."""
         try:
             ready = state.ready_time(task_id)
         except ValueError:
@@ -442,52 +382,16 @@ class ISKScheduler:
             for i in order.tolist()
         ]
 
-    def _relevant_prefixes(self, state: PartialSchedule, window: list[str]) -> list[list[str]]:
-        """For each depth d: the window-prefix tasks whose end times can
-        still influence the remaining window (successor in it) — the
-        only prefix timing the dominance signature must pin down."""
-        graph = state.instance.taskgraph
-        relevant: list[list[str]] = []
-        for d in range(len(window)):
-            rest = set(window[d:])
-            relevant.append(
-                [t for t in window[:d]
-                 if any(s in rest for s in graph.successors(t))]
-            )
-        return relevant
-
-    @staticmethod
-    def _signature(state: PartialSchedule, depth: int, relevant: list[str]) -> tuple:
-        """Canonical window-state frontier at ``depth``.
-
-        Two states with equal signatures offer identical completion
-        sets with identical rank orderings (their end-sums differ by a
-        constant, which shifts every completion's tie-break equally),
-        so the one with the larger running end-sum is dominated.
-        """
-        return (
-            depth,
-            state.makespan,
-            tuple(state.proc_free),
-            tuple(
-                (r.id, r.resources, r.free_time, r.loaded, bool(r.sequence))
-                for r in state.regions.values()
-            ),
-            tuple(tuple(c) for c in state.controllers),
-            tuple(state.end[t] for t in relevant),
-        )
-
     def _greedy_completion(
-        self, state: PartialSchedule, window: list[str], start_depth: int
+        self, state: PartialSchedule, window: list[str]
     ) -> tuple[tuple[float, float], list[_Option]] | None:
-        """Rank-first descent from ``start_depth`` — exactly the first
+        """Rank-first descent through the window — exactly the first
         path the DFS would walk.  Returns (score, options) and restores
         the state; ``None`` on a dead end (then no incumbent is seeded
-        and the search starts from an infinite bound, as the copy
-        engine does)."""
+        and the search starts from an infinite bound)."""
         mark = state.trail_mark()
         taken: list[_Option] = []
-        for task_id in window[start_depth:]:
+        for task_id in window:
             ranked = self._ranked_options(state, task_id)
             if not ranked:
                 state.undo_to(mark)
@@ -506,31 +410,17 @@ class ISKScheduler:
         start_depth: int,
         seed_score: tuple[float, float] | None,
         stats: dict,
-        hint: float | None = None,
     ) -> tuple[tuple[float, float], list[_Option] | None, int, tuple[int, list[_Option]]]:
         """Bounded DFS from ``start_depth`` (earlier window tasks are
         already applied).  Returns ``(best_score, best_tail, nodes,
         deepest)`` where ``best_tail`` is ``None`` when no leaf beat
         the seed (the caller then keeps the seed path) and ``deepest``
-        is the deepest partial reached (for the budget fallback).
-
-        ``hint`` adds one extra prune (``key[0] > hint``) checked only
-        after the ordinary incumbent bound, so ``stats["hint_pruned"]``
-        counts exactly the subtrees the hint removed *beyond* what the
-        incumbent already pruned.  Soundness is argued in
-        :meth:`schedule` / DESIGN.md: any surviving leaf has makespan
-        <= hint while every hint-pruned subtree only contains leaves
-        with makespan > hint, so a found ``best_tail`` is provably the
-        unhinted winner (ties included — the pruned leaves are strictly
-        worse in the first component and the visit order of surviving
-        branches is unchanged)."""
+        is the deepest partial reached (for the budget fallback)."""
         opts = self.options
         n = len(window)
-        relevant = self._relevant_prefixes(state, window)
         best_score = seed_score if seed_score is not None else _INF_SCORE
         best_tail: list[_Option] | None = None
         nodes = 0
-        memo: dict[tuple, float] = {}
         path: list[_Option] = []
         deepest: tuple[int, list[_Option]] = (start_depth, [])
 
@@ -544,13 +434,6 @@ class ISKScheduler:
                 return
             if nodes > opts.node_limit:
                 return
-            if opts.memo:
-                sig = self._signature(state, depth, relevant[depth])
-                prev = memo.get(sig)
-                if prev is not None and prev <= state.end_sum:
-                    stats["memo_hits"] += 1
-                    return
-                memo[sig] = state.end_sum
             ranked = self._ranked_options(state, window[depth])
             cap = opts.branch_cap if n > 1 else len(ranked)
             for key, option in ranked[:cap]:
@@ -559,9 +442,6 @@ class ISKScheduler:
                 # it is an admissible bound for pruning.
                 if key[0] > best_score[0]:
                     stats["bound_pruned"] += 1
-                    continue
-                if hint is not None and key[0] > hint:
-                    stats["hint_pruned"] += 1
                     continue
                 mark = state.trail_mark()
                 self._apply(state, window[depth], option)
@@ -576,7 +456,6 @@ class ISKScheduler:
                 state.undo_to(mark)
 
         dfs(start_depth)
-        stats["memo_entries"] += len(memo)
         return best_score, best_tail, nodes, deepest
 
     def _backtrack_complete(
@@ -602,10 +481,11 @@ class ISKScheduler:
         deepest: tuple[int, list[_Option]],
         stats: dict,
     ) -> list[_Option]:
-        """Node budget exhausted before any leaf (and no seed): complete
-        from the deepest best partial the search reached, falling back
-        to the window root only if that subtree is infeasible.  Raises
-        only when the *whole* window has no feasible completion."""
+        """Node budget exhausted before any leaf and the greedy seed hit
+        a dead end: complete from the deepest best partial the search
+        reached, falling back to the window root only if that subtree is
+        infeasible.  Raises only when the *whole* window has no feasible
+        completion."""
         stats["fallback_completions"] += 1
         depth, prefix = deepest
         if depth > 0:
@@ -621,57 +501,26 @@ class ISKScheduler:
             raise RuntimeError(f"no feasible completion for window {window}")
         return tail
 
-    def _solve_window_trail(
+    def _solve_window(
         self,
         state: PartialSchedule,
         window: list[str],
         stats: dict,
         jobs: int,
-        hint: float | None = None,
     ) -> tuple[PartialSchedule, int]:
         """In-place window solve: seed the incumbent, search (serial or
-        fanned out), then commit the winning path onto ``state``.
-
-        When a ``hint`` fires it is only trusted if the hinted search
-        both found a leaf and stayed inside the node budget — exactly
-        the two conditions under which the hinted tree is provably
-        result-identical to the unhinted one.  Otherwise the window is
-        re-searched without the hint (the independent solve, verbatim),
-        so an arbitrarily wrong hint costs time but never a decision."""
-        opts = self.options
-        seed = (
-            self._greedy_completion(state, window, 0)
-            if opts.incumbent_seed
-            else None
-        )
+        fanned out), then commit the winning path onto ``state``."""
+        seed = self._greedy_completion(state, window)
         if seed is not None:
             stats["incumbent_seeds"] += 1
         seed_score = seed[0] if seed is not None else None
 
         if jobs > 1 and len(window) >= 2:
-            # Fan-out workers each own a node budget; the identity proof
-            # above does not compose across budgets, so the hint is
-            # ignored here (documented in :meth:`schedule`).
             best_path, nodes = self._fanout_search(state, window, seed, stats, jobs)
         else:
-            if hint is not None:
-                stats["hint_windows"] += 1
-            pruned_before = stats["hint_pruned"]
             _best, best_tail, nodes, deepest = self._dfs_search(
-                state, window, 0, seed_score, stats, hint=hint
+                state, window, 0, seed_score, stats
             )
-            hint_fired = stats["hint_pruned"] > pruned_before
-            if hint_fired and (best_tail is None or nodes > opts.node_limit):
-                # Ambiguous: the hint cut subtrees and either no leaf
-                # beat the seed (a cut subtree might have) or the node
-                # budget bound (the unhinted run walks other nodes).
-                # Re-run the window unhinted — this *is* the
-                # independent solve, so identity is restored exactly.
-                stats["hint_reruns"] += 1
-                _best, best_tail, rerun_nodes, deepest = self._dfs_search(
-                    state, window, 0, seed_score, stats
-                )
-                nodes += rerun_nodes
             if best_tail is not None:
                 best_path = best_tail
             elif seed is not None:
@@ -735,67 +584,6 @@ class ISKScheduler:
         if best_path is None:
             best_path = self._fallback_completion(state, window, (0, []), stats)
         return best_path, nodes
-
-    # -- copy engine (the seed implementation, kept as the reference) ------
-
-    def _ranked_forks(
-        self, state: PartialSchedule, task_id: str
-    ) -> list[tuple[tuple[float, float], PartialSchedule]]:
-        """Fork the state per option, ranked by the myopic objective."""
-        ranked: list[tuple[tuple[float, float, float, str], PartialSchedule]] = []
-        for option in self._task_options(state, task_id):
-            fork = state.copy()
-            try:
-                self._apply(fork, task_id, option)
-            except ValueError:
-                continue
-            makespan, end_sum = _score(fork)
-            ranked.append(
-                ((makespan, end_sum, fork.end[task_id], option.impl.name), fork)
-            )
-        ranked.sort(key=lambda item: item[0])
-        return [((key[0], key[1]), fork) for key, fork in ranked]
-
-    def _solve_window_copy(
-        self, state: PartialSchedule, window: list[str]
-    ) -> tuple[PartialSchedule, int]:
-        """Exact (budget-bounded) DFS over the window's decision space —
-        the seed fork-per-option engine, byte-for-byte semantics."""
-        opts = self.options
-        best_state: PartialSchedule | None = None
-        best_score: tuple[float, float] = (float("inf"), float("inf"))
-        nodes = 0
-
-        def dfs(current: PartialSchedule, depth: int) -> None:
-            nonlocal best_state, best_score, nodes
-            if depth == len(window):
-                score = _score(current)
-                if score < best_score:
-                    best_score = score
-                    best_state = current
-                return
-            if nodes > opts.node_limit:
-                return
-            ranked = self._ranked_forks(current, window[depth])
-            cap = opts.branch_cap if len(window) > 1 else len(ranked)
-            for (makespan, _end_sum), fork in ranked[:cap]:
-                nodes += 1
-                # The partial makespan only grows as tasks are added, so
-                # it is an admissible bound for pruning.
-                if makespan > best_score[0]:
-                    continue
-                dfs(fork, depth + 1)
-
-        dfs(state, 0)
-        if best_state is None:
-            # Node budget exhausted before any leaf: greedy completion.
-            best_state = state
-            for task_id in window:
-                ranked = self._ranked_forks(best_state, task_id)
-                if not ranked:
-                    raise RuntimeError(f"task {task_id!r} has no feasible option")
-                best_state = ranked[0][1]
-        return best_state, nodes
 
 
 def isk_schedule(instance: Instance, k: int = 1, **kwargs) -> ISKResult:

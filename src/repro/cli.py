@@ -62,10 +62,8 @@ def _cache_stats_line(stats: dict) -> str:
 
 def _search_stats_line(stats: dict) -> str:
     return (
-        f"is-k search [{stats['engine']}]: "
-        f"expanded={stats['nodes_expanded']} "
+        f"is-k search: expanded={stats['nodes_expanded']} "
         f"bound_pruned={stats['bound_pruned']} "
-        f"memo_hits={stats['memo_hits']} "
         f"seeds={stats['incumbent_seeds']} "
         f"fallbacks={stats['fallback_completions']} "
         f"max_trail={stats['max_undo_depth']} "
@@ -953,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-warm-starts", action="store_true",
-        help="disable shared floorplanners and IS-k incumbent hints "
-        "(for A/B-ing the warm-start layers; results are identical)",
+        help="give every pa/pa-r cell its own fresh floorplanner "
+        "(for A/B-ing the warm-start layer; results are identical)",
     )
     p.add_argument(
         "--timeout", type=float, default=None,

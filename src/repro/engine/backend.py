@@ -269,12 +269,6 @@ class SchedulerBackend(ABC):
         request's cache key — placements are deterministic functions of
         the region demands, so a shared planner changes wall-clock, not
         results.
-
-        Specific backends may accept further execution-context keywords
-        under the same contract (result-neutral, never in the cache
-        key) — e.g. IS-k's ``incumbent_hint`` makespan bound.  Callers
-        that pass them must feature-detect (``is-*`` algorithms only);
-        the base signature stays two-argument.
         """
 
     def check_request(self, request: ScheduleRequest) -> None:

@@ -15,17 +15,18 @@ Request options recognised per backend:
             ``jobs`` (restart worker processes; >1 or a set
             ``iterations`` routes through the parallel entry point)
 ``is-<k>``  ``node_limit``, ``branch_cap``, ``enable_module_reuse``,
-            ``communication_overhead``, plus the search-engine knobs
-            ``engine`` ("trail"/"copy"), ``memo``, ``incumbent_seed``
-            and ``jobs`` (parallel first-level fan-out for k >= 2)
+            ``communication_overhead`` and ``jobs`` (parallel
+            first-level fan-out for k >= 2)
 ``list``    ``enable_module_reuse``, ``communication_overhead``
-``exhaustive`` as ``is-<k>`` minus ``branch_cap``/``memo``/
-            ``incumbent_seed``, plus ``task_limit`` (default 12) —
-            the guard against exponential blow-up
+``exhaustive`` as ``is-<k>`` minus ``branch_cap``, plus ``task_limit``
+            (default 12) — the guard against exponential blow-up
 ========== =====================================================
 
 Unknown option keys raise :class:`EngineError` — silent typos in a
-cache key would poison the store with wrong addresses.
+cache key would poison the store with wrong addresses.  The IS-k and
+exhaustive backends also type-check their options in
+:meth:`~SchedulerBackend.check_request`, so a malformed request is
+refused before it is queued.
 """
 
 from __future__ import annotations
@@ -211,16 +212,39 @@ class PARBackend(SchedulerBackend):
 
 _ISK_PATTERN = re.compile(r"^is-([1-9]\d*)$")
 
+# Lowest accepted value of each integer search option; the remaining
+# search options are bool flags.
+_SEARCH_INT_MIN = {"node_limit": 1, "branch_cap": 1, "task_limit": 1, "jobs": -1}
+
+
+def _check_search_options(options: Mapping, valid: frozenset[str]) -> None:
+    """Reject unknown keys, non-int limits and non-bool flags."""
+    unknown = set(options) - valid
+    if unknown:
+        raise EngineError(
+            f"unknown option(s) {sorted(unknown)}; valid: {sorted(valid)}"
+        )
+    for key, value in options.items():
+        low = _SEARCH_INT_MIN.get(key)
+        if low is None:
+            if not isinstance(value, bool):
+                raise EngineError(f"option {key!r} must be a bool, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise EngineError(
+                f"option {key!r} must be an int >= {low}, got {value!r}"
+            )
+
 
 @register_backend
 class ISKBackend(SchedulerBackend):
     """The IS-k family: ``is-1``, ``is-5``, any ``is-<k>``."""
 
     name = "is-<k>"
-    # Version 2: the trail search engine reports provenance (node
-    # counts, search stats) the version-1 copy engine did not; stored
-    # version-1 outcomes are schedule-identical but carry stale
-    # metadata, so they must not be replayed as current.
+    # Version 2: outcomes carry search provenance (node counts, search
+    # stats) that version-1 outcomes lack; those are schedule-identical
+    # but must not be replayed as current.  The stats keys may vary
+    # between equivalent solves (DESIGN §15), so readers must not
+    # index keys a stored outcome may lack.
     provenance_version = 2
     _OPTION_KEYS = frozenset(
         {
@@ -228,9 +252,6 @@ class ISKBackend(SchedulerBackend):
             "branch_cap",
             "enable_module_reuse",
             "communication_overhead",
-            "engine",
-            "memo",
-            "incumbent_seed",
             "jobs",
         }
     )
@@ -246,27 +267,14 @@ class ISKBackend(SchedulerBackend):
     def create(cls, algorithm: str) -> "ISKBackend":
         return cls(k=int(_ISK_PATTERN.match(algorithm).group(1)))
 
-    def run(
-        self,
-        request: ScheduleRequest,
-        floorplanner=None,
-        incumbent_hint: float | None = None,
-    ) -> ScheduleOutcome:
-        """Run IS-k.  ``incumbent_hint`` is execution context (like
-        ``floorplanner``): an external makespan upper bound — e.g. a
-        neighboring sweep point's result — that prunes the trail DFS
-        earlier but is provably result-neutral (see
-        :meth:`ISKScheduler.schedule`), so it never enters the cache
-        key."""
-        unknown = set(request.options) - self._OPTION_KEYS
-        if unknown:
-            raise EngineError(
-                f"unknown option(s) {sorted(unknown)}; valid: "
-                f"{sorted(self._OPTION_KEYS)}"
-            )
+    def check_request(self, request: ScheduleRequest) -> None:
+        _check_search_options(request.options, self._OPTION_KEYS)
+
+    def run(self, request: ScheduleRequest, floorplanner=None) -> ScheduleOutcome:
+        self.check_request(request)
         result = ISKScheduler(
             ISKOptions(k=self.k, **request.options)
-        ).schedule(request.instance, incumbent_hint=incumbent_hint)
+        ).schedule(request.instance)
         return ScheduleOutcome(
             schedule=result.schedule,
             feasible=result.feasible,
@@ -316,12 +324,12 @@ class ExhaustiveBackend(SchedulerBackend):
             "task_limit",
             "enable_module_reuse",
             "communication_overhead",
-            "engine",
             "jobs",
         }
     )
 
     def check_request(self, request: ScheduleRequest) -> None:
+        _check_search_options(request.options, self._OPTION_KEYS)
         limit = request.options.get("task_limit", DEFAULT_EXHAUSTIVE_TASK_LIMIT)
         n = len(request.instance.taskgraph)
         if n > limit:
@@ -334,12 +342,6 @@ class ExhaustiveBackend(SchedulerBackend):
             )
 
     def run(self, request: ScheduleRequest, floorplanner=None) -> ScheduleOutcome:
-        unknown = set(request.options) - self._OPTION_KEYS
-        if unknown:
-            raise EngineError(
-                f"unknown option(s) {sorted(unknown)}; valid: "
-                f"{sorted(self._OPTION_KEYS)}"
-            )
         self.check_request(request)
         kwargs = {
             k: v for k, v in request.options.items() if k != "task_limit"

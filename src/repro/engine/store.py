@@ -12,8 +12,7 @@ sharding, so maintenance scans touch one small directory at a time
 instead of one directory with every entry in it).  Because the
 canonical form is byte-stable across processes
 (``repro.model.canonical``), a request computed on one machine hits an
-outcome stored by another.  Entries written by the pre-sharding layout
-(``<root>/<request-hash>/``) are still found and served.
+outcome stored by another.
 
 Warm-hit contract: :meth:`ResultStore.get` parses exactly the bytes
 :meth:`ResultStore.put` wrote, so a repeated request returns the stored
@@ -57,7 +56,6 @@ DEFAULT_STORE_ROOT = Path("results") / ".cache"
 # in-flight write; init-time sweeps reclaim it (clear() sweeps them all).
 STALE_TMP_AGE = 3600.0
 
-_KEY_LEN = 64  # SHA-256 hex digest
 _SHARD_LEN = 2
 
 
@@ -85,20 +83,10 @@ class ResultStore:
 
     # -- addressing ---------------------------------------------------------
 
-    def _sharded_dir(self, key: str) -> Path:
-        return self.root / key[:_SHARD_LEN] / key
-
     def entry_dir(self, request: ScheduleRequest) -> Path:
-        """Where this request's entry lives (existing legacy flat-layout
-        entries are honored in place; everything else is sharded)."""
+        """Where this request's entry lives."""
         key = request.cache_key()
-        sharded = self._sharded_dir(key)
-        if sharded.is_dir():
-            return sharded
-        legacy = self.root / key
-        if legacy.is_dir():
-            return legacy
-        return sharded
+        return self.root / key[:_SHARD_LEN] / key
 
     def outcome_path(self, request: ScheduleRequest) -> Path:
         return self.entry_dir(request) / "outcome.json"
@@ -184,18 +172,14 @@ class ResultStore:
     # -- eviction -----------------------------------------------------------
 
     def _iter_entries(self) -> Iterator[Path]:
-        """Every entry directory, sharded and legacy layouts alike."""
+        """Every entry directory."""
         if not self.root.is_dir():
             return
         for child in sorted(self.root.iterdir()):
-            if not child.is_dir():
-                continue
-            if len(child.name) == _SHARD_LEN:
+            if child.is_dir() and len(child.name) == _SHARD_LEN:
                 for sub in sorted(child.iterdir()):
                     if sub.is_dir():
                         yield sub
-            elif len(child.name) == _KEY_LEN:
-                yield child
 
     @staticmethod
     def _entry_bytes(entry: Path) -> int:
@@ -244,12 +228,12 @@ class ResultStore:
                     break
         self._total_bytes = total
 
-    def _prune_shard(self, shard: Path) -> None:
-        if shard != self.root and len(shard.name) == _SHARD_LEN:
-            try:
-                shard.rmdir()  # only succeeds when empty
-            except OSError:
-                pass
+    @staticmethod
+    def _prune_shard(shard: Path) -> None:
+        try:
+            shard.rmdir()  # only succeeds when empty
+        except OSError:
+            pass
 
     # -- maintenance --------------------------------------------------------
 

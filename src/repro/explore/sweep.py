@@ -14,20 +14,16 @@ independent solves:
    floorplanner architecture signature) form a *chain* solved serially
    in one worker around one shared :class:`Floorplanner`, so a
    feasibility verdict at budget B answers dominated queries from
-   every other cell on that fabric.  IS-k cells on the same instance
-   are chained in increasing-k order, each seeding the next cell's
-   ``incumbent_hint`` from its makespan — result-neutral by the
-   proof-or-rerun protocol (DESIGN.md § 15).
+   every other cell on that fabric.
 3. **Deterministic parallel drain** — chains fan out over the PR-2
    pool; the reduction walks grid indices in order, so the report's
    :meth:`SweepReport.canonical_payload` is bit-identical for any
    ``jobs`` (asserted by ``benchmarks/bench_explore.py``).
 
-Warm starts are execution context: hints and shared planners never
-enter a cache key, and the *decisions* of every outcome are identical
-to an independent solve.  Search-provenance metadata (IS-k node
-counts, planner cache stats) may differ — see DESIGN.md § 15 for the
-purity caveat.
+Warm starts are execution context: shared planners never enter a
+cache key, and the *decisions* of every outcome are identical to an
+independent solve.  Planner cache stats may differ — see DESIGN.md
+§ 15 for the purity caveat.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = ["SweepRecord", "SweepReport", "run_sweep", "OBJECTIVES"]
 
 OBJECTIVES = ("makespan", "area", "energy")
 
-_HINT_STAT_KEYS = ("hint_windows", "hint_pruned", "hint_reruns")
 _PLANNER_STAT_KEYS = (
     "queries",
     "cache_hits",
@@ -146,7 +141,6 @@ class SweepReport:
     elapsed: float = 0.0
     store_stats: dict | None = None
     planner_stats: dict = field(default_factory=dict)
-    hint_stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -165,7 +159,6 @@ class SweepReport:
             "elapsed": self.elapsed,
             "store_stats": self.store_stats,
             "planner_stats": self.planner_stats,
-            "hint_stats": self.hint_stats,
         }
 
     def canonical_payload(self) -> dict:
@@ -200,13 +193,6 @@ class SweepReport:
                     for name in self.objectives
                 )
                 lines.append(f"  #{record.index} {record.label}: {objs}")
-        if self.hint_stats.get("hint_windows"):
-            lines.append(
-                "warm starts: "
-                f"{self.hint_stats['hint_windows']} hinted windows, "
-                f"{self.hint_stats['hint_pruned']} hint prunes, "
-                f"{self.hint_stats['hint_reruns']} verification reruns"
-            )
         if self.planner_stats.get("queries"):
             lines.append(
                 "floorplanner: "
@@ -243,41 +229,24 @@ _OBJECTIVE_FIELDS = {
 }
 
 
-def _chain_sort_key(point: GridPoint) -> tuple:
-    """Within-chain solve order: non-IS-k cells by grid index first,
-    then IS-k cells by (k, grid index) so hints flow small-k -> big-k."""
-    algorithm = point.algorithm
-    if algorithm.startswith("is-"):
-        return (1, int(algorithm[3:]), point.index)
-    return (0, 0, point.index)
-
-
-def _isk_depth(algorithm: str) -> int | None:
-    if algorithm.startswith("is-") and algorithm[3:].isdigit():
-        return int(algorithm[3:])
-    return None
-
-
 def _solve_chain(payload: tuple) -> tuple:
     """Pool worker: solve one fabric chain serially with shared warmth.
 
     ``payload`` is ``(items, planner_entries, warm_starts)`` where each
-    item is ``(key, request, wants_planner, isk_depth, instance_hash)``
-    in chain order.  Returns ``(results, planner_entries, planner_stats)``
-    with one ``(key, outcome_dict | None, elapsed, error)`` per item.
+    item is ``(key, request, wants_planner)`` in chain order.  Returns
+    ``(results, planner_entries, planner_stats)`` with one ``(key, outcome_dict | None, elapsed, error)`` per item.
     Module-level so the analysis pool can pickle it; deterministic
     because the chain is solved serially in a fixed order.
 
     With ``warm_starts`` off every cell is a genuinely independent
-    solve: a fresh floorplanner per cell, no absorbed entries, no
-    hints — the baseline the bench compares warm chains against.
+    solve: a fresh floorplanner per cell and no absorbed entries — the
+    baseline the bench compares warm chains against.
     """
     items, planner_entries, warm_starts = payload
     planner = None
     results = []
     stats_totals: dict = {}
-    hint_by_instance: dict = {}
-    for key, request, wants_planner, isk_depth, instance_hash in items:
+    for key, request, wants_planner in items:
         t0 = _time.perf_counter()
         try:
             backend = get_backend(request.algorithm)
@@ -297,15 +266,7 @@ def _solve_chain(payload: tuple) -> tuple:
                     if planner_entries and warm_starts:
                         planner.absorb(planner_entries)
                 kwargs["floorplanner"] = planner
-            if warm_starts and isk_depth is not None:
-                hint = hint_by_instance.get(instance_hash)
-                if hint is not None:
-                    kwargs["incumbent_hint"] = hint
             outcome = backend.run(request, **kwargs)
-            if isk_depth is not None and outcome.feasible:
-                prior = hint_by_instance.get(instance_hash)
-                if prior is None or outcome.makespan < prior:
-                    hint_by_instance[instance_hash] = outcome.makespan
             results.append(
                 (key, outcome.to_dict(), _time.perf_counter() - t0, None)
             )
@@ -329,9 +290,9 @@ def _fabric_signature(request: ScheduleRequest) -> tuple | None:
     backends that never consult a planner)."""
     if request.algorithm.startswith("fleet-"):
         return None
-    # is-k / list / exhaustive never consult the planner, but chaining
-    # them by architecture keeps IS-k hint chains in one worker; the
-    # planner itself is built lazily only when a pa/pa-r cell asks.
+    # is-k / list / exhaustive never consult the planner; they ride in
+    # their fabric's chain, whose planner is built lazily only when a
+    # pa/pa-r cell asks.
     from ..floorplan.floorplanner import _architecture_signature
 
     return _architecture_signature(request.instance.architecture)
@@ -420,37 +381,29 @@ def run_sweep(
         else:
             misses.append(key)
 
-    # Layer 2: group misses into warm chains by fabric signature.
-    chains: dict[object, list[GridPoint]] = {}
+    # Layer 2: group misses into warm chains by fabric signature.  The
+    # misses come in grid-index order, so every chain solves in it.
+    chains: dict[object, list[tuple[str, GridPoint]]] = {}
     solo_count = 0
     for key in misses:
         point = by_index[representative[key]]
         signature = _fabric_signature(point.request)
         if signature is None:
-            chains[("solo", solo_count)] = [point]
+            chains[("solo", solo_count)] = [(key, point)]
             solo_count += 1
         else:
-            chains.setdefault(("fabric", signature), []).append(point)
+            chains.setdefault(("fabric", signature), []).append((key, point))
     chain_keys = sorted(chains, key=repr)
     payloads = []
     for chain_key in chain_keys:
-        members = sorted(chains[chain_key], key=_chain_sort_key)
         items = []
-        for point in members:
+        for key, point in chains[chain_key]:
             request = point.request
             wants_planner = request.algorithm in (
                 "pa",
                 "pa-r",
             ) and request.options.get("floorplan", True)
-            items.append(
-                (
-                    request.cache_key(),
-                    request,
-                    wants_planner,
-                    _isk_depth(request.algorithm),
-                    request.instance.content_hash(),
-                )
-            )
+            items.append((key, request, wants_planner))
         entries = (
             planner_cache.get(chain_key[1], [])
             if planner_cache is not None and chain_key[0] == "fabric"
@@ -486,7 +439,7 @@ def run_sweep(
     planner_stats_total: dict = {}
     for chain_key, payload, result in zip(chain_keys, payloads, chain_results):
         if isinstance(result, ParallelItemFailure):
-            for key, _request, _wp, _k, _ih in payload[0]:
+            for key, _request, _wp in payload[0]:
                 errors[key] = _failure_message(result)
                 sources[key] = "failed"
             continue
@@ -522,7 +475,6 @@ def run_sweep(
         chains=len(chain_keys),
         jobs=jobs,
     )
-    hint_totals = {stat: 0 for stat in _HINT_STAT_KEYS}
     for point in points:
         if point.request is None:
             report.records.append(
@@ -576,16 +528,10 @@ def run_sweep(
             record.energy_uj = round(_point_energy_uj(point, outcome), 6)
             if point.energy_cap_uj is not None:
                 record.within_cap = record.energy_uj <= point.energy_cap_uj
-            if sources.get(key) == "executed":
-                stats = (outcome.metadata or {}).get("stats") or {}
-                if point.index == rep_index:
-                    for stat in _HINT_STAT_KEYS:
-                        hint_totals[stat] += int(stats.get(stat, 0))
         report.records.append(record)
 
     report.store_hits = sum(1 for s in sources.values() if s == "store")
     report.executed = sum(1 for s in sources.values() if s == "executed")
-    report.hint_stats = hint_totals
     report.planner_stats = planner_stats_total
     if store is not None and stats_before is not None:
         after = store.stats

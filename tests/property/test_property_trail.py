@@ -4,8 +4,8 @@ Any feasible sequence of placement operations recorded on the trail,
 followed by ``undo_to`` the starting mark, restores *every* observable
 the placement ops mutate — including the incremental objective floats,
 which must come back as the recorded values (no arithmetic re-derive,
-no drift).  This is the substrate invariant that makes the trail IS-k
-engine decision-identical to the fork-per-option copy engine.
+no drift).  This is the substrate invariant that makes the in-place
+IS-k search decide exactly as forking a fresh copy per option would.
 """
 
 import random

@@ -125,26 +125,6 @@ class TestShardedLayout:
         assert entry == store.root / key[:2] / key
         assert entry.is_dir()
 
-    def test_legacy_flat_entries_are_still_served(self, store, instance):
-        request = ScheduleRequest(instance, "list")
-        outcome = get_backend("list").run(request)
-        store.put(request, outcome)
-        key = request.cache_key()
-        # Rewrite history: move the sharded entry to the pre-sharding
-        # flat layout a PR-4-era run would have left behind.
-        sharded = store.root / key[:2] / key
-        legacy = store.root / key
-        sharded.rename(legacy)
-        sharded.parent.rmdir()
-
-        fresh = ResultStore(store.root)
-        assert fresh.entry_dir(request) == legacy
-        cached = fresh.get(request)
-        assert cached is not None
-        assert cached.to_dict() == outcome.to_dict()
-        assert len(fresh) == 1
-        assert fresh.clear() == 1
-
 
 class TestStaleTmpSweep:
     """ISSUE 7 satellite 3: a process killed mid-write orphans

@@ -245,6 +245,34 @@ class TestBadRequests:
                 assert status == 400, payload
                 assert body["error"]
 
+    def test_malformed_search_options_are_400_before_dispatch(self, instance):
+        cases = (
+            ("is-1", {"node_limit": "many"}),
+            ("is-2", {"branch_cap": 2.5}),
+            ("is-3", {"node_limit": True}),
+            ("is-3", {"jobs": -2}),
+            ("is-3", {"enable_module_reuse": "yes"}),
+            ("is-5", {"engine": "copy"}),
+            ("is-5", {"memo": False}),
+            ("is-5", {"incumbent_seed": False}),
+            ("exhaustive", {"node_limit": 0}),
+            ("exhaustive", {"task_limit": "12"}),
+        )
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            for algorithm, options in cases:
+                payload = request_to_payload(
+                    ScheduleRequest(instance, algorithm, options=options)
+                )
+                status, body, _ = client.request_raw("POST", "/schedule", payload)
+                assert status == 400, (algorithm, options, body)
+                assert body["error"]
+            metrics = client.metrics()
+            assert metrics["failures"] == len(cases)
+            assert metrics["queue_peak"] == 0  # nothing was admitted
+            assert metrics["computed"] == 0
+
     def test_unknown_route_is_404(self):
         with ServiceThread(_config()) as handle:
             client = ServiceClient(handle.url)
