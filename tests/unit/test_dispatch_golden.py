@@ -344,6 +344,29 @@ ONLINE_DIGESTS = {
 }
 
 
+# The scenarios above replan incrementally only.  These two overloaded
+# traces also escalate to full EDF replans, which re-place every
+# unstarted task; the trace goes through a JSON-shaped round trip first,
+# as `repro online` reads it from a file.
+
+
+def _online_full_replan(seed: int):
+    trace = ArrivalTrace.from_dict(generate_trace(seed=seed, jobs=20).to_dict())
+    faults = FaultPlan([TransientTaskFaults(rate=0.05, seed=seed)])
+    return run_online(trace, faults=faults)
+
+
+FULL_REPLAN_CASES = {
+    "full-replan-seed2": lambda: _online_full_replan(2),
+    "full-replan-seed3": lambda: _online_full_replan(3),
+}
+
+FULL_REPLAN_DIGESTS = {
+    "full-replan-seed2": "fbd267310fa1ab85426dd265a845ac3be43835fe8f63e34f4d06e44978fd2fa4",
+    "full-replan-seed3": "1984abc020ed452916b9db1b34c1f6ca1f80e4e23419dad51ab01d4781f5a301",
+}
+
+
 @pytest.mark.parametrize("case", sorted(SIM_CASES))
 def test_sim_golden(case):
     assert _digest(SIM_CASES[case]()) == SIM_DIGESTS[case]
@@ -352,6 +375,13 @@ def test_sim_golden(case):
 @pytest.mark.parametrize("case", sorted(ONLINE_CASES))
 def test_online_golden(case):
     assert _digest(ONLINE_CASES[case]()) == ONLINE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(FULL_REPLAN_CASES))
+def test_online_full_replan_golden(case):
+    result = FULL_REPLAN_CASES[case]()
+    assert result.replan_full >= 1
+    assert _digest(result) == FULL_REPLAN_DIGESTS[case]
 
 
 def test_sim_tie_death_fires_before_start():
