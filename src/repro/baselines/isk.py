@@ -264,36 +264,18 @@ class ISKScheduler:
         self, state: PartialSchedule, option: _Option, ready: float
     ) -> tuple[float, float, float, str]:
         """The ranking key ``(makespan, Σ end, task end, impl name)``
-        this option *would* produce, computed read-only.
-
-        Mirrors the timing arithmetic of
-        :meth:`~repro.baselines.partial.PartialSchedule.place_sw` /
-        ``place_hw`` operation-for-operation (same ``max`` argument
-        order, same addition order), so the previewed key is
-        bit-identical to applying the option and reading the
-        incremental objective.
+        this option *would* produce, computed read-only from
+        :meth:`~repro.baselines.partial.PartialSchedule.earliest_start`
+        — the rule ``place_sw``/``place_hw`` commit — with the same
+        ``max``/addition order as the incremental objective, so the
+        previewed key is bit-identical to applying the option and
+        reading the objective.
         """
         impl = option.impl
         makespan = state.makespan
-        if option.kind == _PROC:
-            start = max(ready, state.proc_free[option.ref])
-        elif option.kind == _REGION:
-            region = state.regions[option.ref]
-            if region.sequence and not (
-                state.module_reuse and region.loaded == impl.name
-            ):
-                duration = state.arch.reconf_time(region.resources)
-                _ctrl, rc_start = state._controller_slot(
-                    region.free_time, duration
-                )
-                rc_end = rc_start + duration
-                if rc_end > makespan:
-                    makespan = rc_end
-                start = max(ready, rc_end)
-            else:
-                start = max(ready, region.free_time)
-        else:  # "new" — a fresh region is idle at t=0 and needs no reconf
-            start = max(ready, 0.0)
+        start, reconf = state.earliest_start(ready, impl.name, option.ref)
+        if reconf is not None and reconf[2] > makespan:
+            makespan = reconf[2]
         end = start + impl.time
         if end > makespan:
             makespan = end
@@ -324,46 +306,25 @@ class ISKScheduler:
     ) -> list[tuple[tuple[float, float, float, str], _Option]]:
         """Batched :meth:`_preview_key` over the whole frontier.
 
-        Bit-identical to the scalar loop: the array ops replay the same
-        float operations with the same operand order (``max(ready, .)``,
-        one addition for the end time, one for the end-sum), the
-        reconfiguration end per region is the *same* Python-computed
-        float shared by every option targeting that region (it never
-        depends on the implementation), and ``np.lexsort`` is stable
-        with the same key priority as sorting the Python key tuples.
+        Bit-identical to the scalar loop: starts and reconfiguration
+        ends come from the same ``earliest_start`` calls, the array ops
+        replay the same float operations with the same operand order
+        (one addition for the end time, one for the end-sum, ``max``
+        for the makespan), and ``np.lexsort`` is stable with the same
+        key priority as sorting the Python key tuples.
         """
         n = len(options)
         makespan = state.makespan
         times = _np.fromiter((o.impl.time for o in options), _np.float64, n)
-        base = [0.0] * n  # earliest target-free time, filled in Python
+        starts = [0.0] * n
         pre = _np.full(n, makespan, dtype=_np.float64)
-        rc_end_of: dict[str, float] = {}
-        proc_free = state.proc_free
-        regions = state.regions
         for j, option in enumerate(options):
-            kind = option.kind
-            if kind == _PROC:
-                base[j] = proc_free[option.ref]
-            elif kind == _REGION:
-                region = regions[option.ref]
-                if region.sequence and not (
-                    state.module_reuse and region.loaded == option.impl.name
-                ):
-                    rc_end = rc_end_of.get(region.id)
-                    if rc_end is None:
-                        duration = state.arch.reconf_time(region.resources)
-                        _ctrl, rc_start = state._controller_slot(
-                            region.free_time, duration
-                        )
-                        rc_end = rc_start + duration
-                        rc_end_of[region.id] = rc_end
-                    base[j] = rc_end
-                    if rc_end > makespan:
-                        pre[j] = rc_end
-                else:
-                    base[j] = region.free_time
-            # "new" — a fresh region is idle at t=0, base stays 0.0
-        start = _np.maximum(ready, _np.array(base, dtype=_np.float64))
+            starts[j], reconf = state.earliest_start(
+                ready, option.impl.name, option.ref
+            )
+            if reconf is not None and reconf[2] > makespan:
+                pre[j] = reconf[2]
+        start = _np.array(starts, dtype=_np.float64)
         end = start + times
         ms = _np.maximum(pre, end)
         end_sum = state.end_sum + end

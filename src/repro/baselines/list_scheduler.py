@@ -88,11 +88,13 @@ def list_schedule(
     )
     for task_id in order:
         task = graph.task(task_id)
+        ready = state.ready_time(task_id)
         best: tuple[float, float, str, _Option] | None = None
         for impl in task.sw_implementations:
             for proc in range(state.arch.processors):
                 option = _Option(impl=impl, target=f"proc:{proc}")
-                finish = max(state.ready_time(task_id), state.proc_free[proc]) + impl.time
+                start, _ = state.earliest_start(ready, impl.name, proc)
+                finish = start + impl.time
                 key = (finish, 0.0, impl.name, option)
                 if best is None or key[:3] < best[:3]:
                     best = key
@@ -101,13 +103,15 @@ def list_schedule(
                 if not impl.resources.fits_in(region.resources):
                     continue
                 option = _Option(impl=impl, target=f"region:{region.id}")
-                finish = _hw_finish(state, task_id, impl, region.id)
+                start, _ = state.earliest_start(ready, impl.name, region.id)
+                finish = start + impl.time
                 key = (finish, float(region.resources.total()), impl.name, option)
                 if best is None or key[:3] < best[:3]:
                     best = key
             if state.can_create_region(impl.resources):
                 option = _Option(impl=impl, target="new")
-                finish = state.ready_time(task_id) + impl.time
+                start, _ = state.earliest_start(ready, impl.name, None)
+                finish = start + impl.time
                 key = (finish, float(impl.resources.total()), impl.name, option)
                 if best is None or key[:3] < best[:3]:
                     best = key
@@ -125,19 +129,3 @@ def list_schedule(
     schedule = state.to_schedule(scheduler="LIST")
     return ListResult(schedule=schedule, elapsed=_time.perf_counter() - t0)
 
-
-def _hw_finish(state: PartialSchedule, task_id: str, impl, region_id: str) -> float:
-    """Finish-time preview of placing ``task_id`` in ``region_id``
-    (same semantics as :meth:`PartialSchedule.place_hw`, no mutation)."""
-    region = state.regions[region_id]
-    ready = state.ready_time(task_id)
-    needs_reconf = region.sequence and not (
-        state.module_reuse and region.loaded == impl.name
-    )
-    if needs_reconf:
-        duration = state.arch.reconf_time(region.resources)
-        _, rc_start = state._controller_slot(region.free_time, duration)
-        start = max(ready, rc_start + duration)
-    else:
-        start = max(ready, region.free_time)
-    return start + impl.time

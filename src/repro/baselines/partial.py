@@ -16,6 +16,11 @@ construction:
 * loading the same module twice in a row needs no reconfiguration
   (*module reuse* — IS-k exploits this; the paper's PA does not).
 
+The start rule lives in one read-only method,
+:meth:`PartialSchedule.earliest_start`: ``place_sw``/``place_hw``
+commit what it returns, and every scheduler that ranks options without
+applying them (IS-k, the list scheduler, the online planner) calls it.
+
 States are cheaply copyable so branch-and-bound can fork them, and —
 since the IS-k search-engine overhaul — support an **apply/undo
 trail**: :meth:`PartialSchedule.trail_mark` starts recording every
@@ -26,8 +31,7 @@ intervals, ``impl``/``placement``/``start``/``end`` entries, the
 search explores options by do→recurse→undo instead of forking a full
 copy per option.  Undo restores the *recorded* float values (never
 re-derives them arithmetically), so a rewound state is bit-identical
-to the state at the mark — the property the trail-vs-copy
-decision-equivalence suite leans on.
+to the state at the mark (``tests/property/test_property_trail.py``).
 
 The window objective ``(makespan, Σ end)`` is maintained incrementally
 (``end_sum`` / the O(1) ``makespan`` property): both only ever grow by
@@ -179,14 +183,15 @@ class PartialSchedule:
                 self._makespan = old_makespan
             elif tag == "hw":
                 (_, task_id, region_id, old_free, old_loaded,
-                 controller, interval, old_end_sum, old_makespan) = entry
+                 reconf, old_end_sum, old_makespan) = entry
                 region = self.regions[region_id]
                 region.sequence.pop()
                 region.free_time = old_free
                 region.loaded = old_loaded
-                if controller is not None:
+                if reconf is not None:
+                    controller, rc_start, rc_end = reconf
                     self.reconfigurations.pop()
-                    self.controllers[controller].remove(interval)
+                    self.controllers[controller].remove((rc_start, rc_end))
                 del self.impl[task_id]
                 del self.placement[task_id]
                 del self.start[task_id]
@@ -227,6 +232,44 @@ class PartialSchedule:
         return quantized.fits_in(self.available_resources())
 
     @property
+    def next_region_id(self) -> str:
+        """The id :meth:`create_region` gives the next region."""
+        return f"RR{self._region_counter}"
+
+    def earliest_start(
+        self, ready: float, impl_name: str, target: str | int | None
+    ) -> tuple[float, tuple[int, float, float] | None]:
+        """When a task ready at ``ready`` would start on ``target``,
+        computed read-only — the one start rule of this module.
+
+        ``target`` is a region id, a processor index, or ``None`` for a
+        region not created yet (idle since 0, nothing loaded).  Returns
+        ``(start, reconf)``; ``reconf`` is the ``(controller, start,
+        end)`` of the reconfiguration that must come first, or ``None``.
+        A region needs one whenever a *different* module is loaded.
+        Offline, "something loaded" and "sequence non-empty" coincide;
+        online projections seed regions whose queue has drained but
+        whose fabric still holds the last module, so the loaded module
+        — not the sequence — is the authoritative signal.
+
+        :meth:`place_sw` and :meth:`place_hw` commit exactly what this
+        returns, so a preview equals apply-then-read bit for bit.
+        """
+        if target is None:
+            return max(ready, 0.0), None
+        if isinstance(target, int):
+            return max(ready, self.proc_free[target]), None
+        region = self.regions[target]
+        if region.loaded is not None and not (
+            self.module_reuse and region.loaded == impl_name
+        ):
+            duration = self.arch.reconf_time(region.resources)
+            controller, rc_start = self._controller_slot(region.free_time, duration)
+            rc_end = rc_start + duration
+            return max(ready, rc_end), (controller, rc_start, rc_end)
+        return max(ready, region.free_time), None
+
+    @property
     def makespan(self) -> float:
         """Max over task ends and controller busy ends — maintained
         incrementally (O(1)); equals the explicit max by monotonicity."""
@@ -251,8 +294,7 @@ class PartialSchedule:
         assert best is not None
         return best[1], best[0]
 
-    def _reserve_controller(self, controller: int, start: float, duration: float) -> None:
-        end = start + duration
+    def _reserve_controller(self, controller: int, start: float, end: float) -> None:
         insort(self.controllers[controller], (start, end))
         if end > self._makespan:
             self._makespan = end
@@ -263,7 +305,7 @@ class PartialSchedule:
         quantized = self.arch.quantize_region(demand)
         if not quantized.fits_in(self.available_resources()):
             raise ValueError("insufficient fabric resources for new region")
-        region = RegionState(id=f"RR{self._region_counter}", resources=quantized)
+        region = RegionState(id=self.next_region_id, resources=quantized)
         if self._trail is not None:
             self._trail.append(
                 ("region", region.id, self.used, self._region_counter)
@@ -277,7 +319,9 @@ class PartialSchedule:
         """Commit a SW task on a core; returns its finish time."""
         if not impl.is_sw:
             raise ValueError("place_sw needs a SW implementation")
-        start = max(self.ready_time(task_id), self.proc_free[processor])
+        start, _ = self.earliest_start(
+            self.ready_time(task_id), impl.name, processor
+        )
         end = start + impl.time
         if self._trail is not None:
             self._trail.append(
@@ -308,26 +352,16 @@ class PartialSchedule:
             raise ValueError(
                 f"implementation {impl.name!r} does not fit region {region_id!r}"
             )
-        ready = self.ready_time(task_id)
+        start, reconf = self.earliest_start(
+            self.ready_time(task_id), impl.name, region_id
+        )
         old_free = region.free_time
         old_loaded = region.loaded
         old_end_sum = self.end_sum
         old_makespan = self._makespan
-        reconf_controller: int | None = None
-        reconf_interval: tuple[float, float] | None = None
-        # A region needs reconfiguration whenever a *different* module is
-        # currently loaded.  Offline, "something loaded" and "sequence
-        # non-empty" coincide; online projections seed regions whose queue
-        # has drained but whose fabric still holds the last module, so the
-        # loaded module — not the sequence — is the authoritative signal.
-        needs_reconf = region.loaded is not None and not (
-            self.module_reuse and region.loaded == impl.name
-        )
-        if needs_reconf:
-            duration = self.arch.reconf_time(region.resources)
-            controller, rc_start = self._controller_slot(region.free_time, duration)
-            rc_end = rc_start + duration
-            self._reserve_controller(controller, rc_start, duration)
+        if reconf is not None:
+            controller, rc_start, rc_end = reconf
+            self._reserve_controller(controller, rc_start, rc_end)
             self.reconfigurations.append(
                 Reconfiguration(
                     region_id=region_id,
@@ -342,16 +376,11 @@ class PartialSchedule:
                     controller=controller,
                 )
             )
-            reconf_controller = controller
-            reconf_interval = (rc_start, rc_end)
-            start = max(ready, rc_end)
-        else:
-            start = max(ready, region.free_time)
         end = start + impl.time
         if self._trail is not None:
             self._trail.append(
                 ("hw", task_id, region_id, old_free, old_loaded,
-                 reconf_controller, reconf_interval, old_end_sum, old_makespan)
+                 reconf, old_end_sum, old_makespan)
             )
         region.free_time = end
         region.loaded = impl.name

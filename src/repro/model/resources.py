@@ -109,7 +109,11 @@ class ResourceVector(Mapping[str, int]):
 
     def fits_in(self, capacity: "ResourceVector") -> bool:
         """True when every component is <= the capacity's component."""
-        return all(v <= capacity[k] for k, v in self._data.items())
+        cap = capacity._data
+        for k, v in self._data.items():
+            if v > cap.get(k, 0):
+                return False
+        return True
 
     def dominates(self, other: "ResourceVector") -> bool:
         """True when every component is >= the other's component."""

@@ -9,13 +9,17 @@ partially-reconfigurable fabric.  It is two cooperating layers:
 fault or death the planner places *only the affected tasks* instead of
 re-solving the whole workload: it builds a throwaway projection
 :class:`~repro.baselines.partial.PartialSchedule` seeded from the
-current runtime state and explores placements speculatively on the
-PR-5 apply/undo trail (place → evaluate → ``undo_to``), trying a
-*pack* strategy (reuse loaded modules, queue on existing regions) and —
-when the projected completion misses the deadline — a *spread*
-strategy (prefer fresh regions for parallelism), keeping the better
-one.  A live :class:`~repro.core.timing.IncrementalStarts` view over a
-growing :class:`~repro.core.timing.PrecedenceGraph` tracks predicted
+current runtime state.  Each task's candidates (existing regions, a
+new region, the cores) are ranked by a read-only preview —
+:meth:`~repro.baselines.partial.PartialSchedule.earliest_start`, the
+one start rule that ``place_hw``/``place_sw`` also commit — and only
+the winner is applied.  A pass tries a *pack* strategy (reuse loaded
+modules, queue on existing regions) and — when the projected
+completion misses the deadline — rewinds the projection's undo trail
+and tries a *spread* strategy (prefer fresh regions for parallelism),
+keeping the better one.  A live
+:class:`~repro.core.timing.IncrementalStarts` view over a growing
+:class:`~repro.core.timing.PrecedenceGraph` tracks predicted
 starts across runtime events (``add_node`` per admitted task,
 serialization arcs per queue commitment, ``raise_lower_bound`` per
 actual dispatch/completion), so deadline predictions stay current
@@ -511,15 +515,23 @@ class OnlineRuntime(Dispatcher):
     def _place_one(
         self, ps: PartialSchedule, uid: str, now: float, bias: str
     ) -> _Placement:
-        """Place one task speculatively and commit the best candidate.
+        """Rank every candidate with a read-only preview, then apply
+        only the winner.
 
-        Every candidate is evaluated by place → read finish → ``undo_to``
-        on the projection's trail; the winner is then re-applied.  The
-        ``bias`` orders ties: ``pack`` prefers existing regions (module
-        reuse), ``spread`` prefers fresh regions (parallelism)."""
+        The candidates are each region's fastest fitting module, a new
+        region for the fastest module the fabric can still hold, and
+        every core for the fastest SW implementation.  A candidate's
+        end comes from :meth:`PartialSchedule.earliest_start` with the
+        task's online duration and its not-before shift — the float
+        operations the winner's ``place_hw``/``place_sw`` and
+        :meth:`_apply_not_before` then perform, in the same order.  The
+        key is ``(end, cls, new, target, impl name)``; ``bias`` orders
+        ties: ``pack`` prefers existing regions (module reuse),
+        ``spread`` prefers fresh regions (parallelism)."""
         task = self.graph.task(uid)
         rec = self.tasks[uid]
-        best: tuple[tuple, Implementation, str, str | int, bool] | None = None
+        # (cls, new, target name, impl, earliest_start target)
+        candidates: list[tuple[int, int, str, Implementation, str | int | None]] = []
         hw_blocked: ResourceVector | None = None
         hw_impls = sorted(
             task.hw_implementations, key=lambda i: (i.time, i.name)
@@ -528,81 +540,71 @@ class OnlineRuntime(Dispatcher):
             # Checkpointed state is tied to the implementation it was
             # saved from — a resume may only re-place the same module.
             hw_impls = [i for i in hw_impls if i.name == rec.impl.name]
-        if not rec.fallback:
-            for state in (ps.regions[rid] for rid in sorted(ps.regions)):
+        if not rec.fallback and hw_impls:
+            pack = bias == "pack"
+            for rid in sorted(ps.regions):
+                resources = ps.regions[rid].resources
                 for impl in hw_impls:
-                    if not impl.resources.fits_in(state.resources):
-                        continue
-                    mark = ps.trail_mark()
-                    end = self._speculate_hw(ps, uid, rec, impl, state.id)
-                    ps.undo_to(mark)
-                    cls = 0 if bias == "pack" else 1
-                    key = (end, cls, 0, state.id, impl.name)
-                    if best is None or key < best[0]:
-                        best = (key, impl, "hw", state.id, False)
-                    break  # fastest fitting impl per region
+                    if impl.resources.fits_in(resources):
+                        candidates.append((0 if pack else 1, 0, rid, impl, rid))
+                        break  # fastest fitting impl per region
+            available = ps.available_resources()
             for impl in hw_impls:
-                if ps.can_create_region(impl.resources):
-                    mark = ps.trail_mark()
-                    state = ps.create_region(impl.resources)
-                    end = self._speculate_hw(ps, uid, rec, impl, state.id)
-                    ps.undo_to(mark)
-                    cls = 1 if bias == "pack" else 0
-                    key = (end, cls, 1, state.id, impl.name)
-                    if best is None or key < best[0]:
-                        best = (key, impl, "hw", state.id, True)
+                if self.arch.quantize_region(impl.resources).fits_in(available):
+                    candidates.append(
+                        (1 if pack else 0, 1, ps.next_region_id, impl, None)
+                    )
                     break
                 hw_blocked = impl.resources
         if task.has_sw:
             impl = task.fastest_sw()
             for p in range(self.arch.processors):
-                mark = ps.trail_mark()
-                end = self._speculate_sw(ps, uid, rec, impl, p)
-                ps.undo_to(mark)
-                key = (end, 2, 2, f"P{p}", impl.name)
-                if best is None or key < best[0]:
-                    best = (key, impl, "sw", p, False)
-        if best is None:
+                candidates.append((2, 2, f"P{p}", impl, p))
+        if not candidates:
             if hw_blocked is not None:
                 raise _NeedSpace(hw_blocked)
             raise _Unplaceable(uid)
-        _, impl, kind, where, created = best
-        demand: ResourceVector | None = None
-        if kind == "hw":
-            if created:
-                state = ps.create_region(impl.resources)
-                where = state.id
-                demand = state.resources
-            before = len(ps.reconfigurations)
-            end = self._speculate_hw(ps, uid, rec, impl, where)
-            gap = 0.0
-            if len(ps.reconfigurations) > before:
-                rc = ps.reconfigurations[-1]
-                gap = rc.end - rc.start
+        ready = ps.ready_time(uid)
+        best: tuple[tuple, Implementation, str | int | None] | None = None
+        for cls, new, name, impl, target in candidates:
+            start, _ = ps.earliest_start(ready, impl.name, target)
+            end = start + self._online_duration(rec, impl)
+            if start + EPS < rec.not_before:
+                end += rec.not_before - start
+            key = (end, cls, new, name, impl.name)
+            if best is None or key < best[0]:
+                best = (key, impl, target)
+        _, impl, target = best
+        stretched = self._online_impl(rec, impl)
+        if impl.is_sw:
+            end = ps.place_sw(uid, stretched, target)
+            end = self._apply_not_before(ps, uid, rec, end, "sw", target)
             return _Placement(
-                uid, impl, "hw", where, ps.start[uid], end, demand, gap
+                uid, impl, "sw", target, ps.start[uid], end, None, 0.0
             )
-        end = self._speculate_sw(ps, uid, rec, impl, where)
-        return _Placement(
-            uid, impl, "sw", where, ps.start[uid], end, None, 0.0
-        )
+        demand: ResourceVector | None = None
+        if target is None:
+            region = ps.create_region(impl.resources)
+            target = region.id
+            demand = region.resources
+        before = len(ps.reconfigurations)
+        end = ps.place_hw(uid, stretched, target)
+        end = self._apply_not_before(ps, uid, rec, end, "hw", target)
+        gap = 0.0
+        if len(ps.reconfigurations) > before:
+            rc = ps.reconfigurations[-1]
+            gap = rc.end - rc.start
+        return _Placement(uid, impl, "hw", target, ps.start[uid], end, demand, gap)
 
-    def _speculate_hw(self, ps, uid, rec, impl, region_id) -> float:
-        """place_hw with the task's *online* duration (restore + the
-        work remaining after checkpointed progress) and its not-before
-        bound (arrival / fault instant / checkpoint completion)."""
-        stretched = self._online_impl(rec, impl)
-        end = ps.place_hw(uid, stretched, region_id)
-        return self._apply_not_before(ps, uid, rec, end, "hw", region_id)
-
-    def _speculate_sw(self, ps, uid, rec, impl, processor) -> float:
-        stretched = self._online_impl(rec, impl)
-        end = ps.place_sw(uid, stretched, processor)
-        return self._apply_not_before(ps, uid, rec, end, "sw", processor)
+    def _online_duration(self, rec: _TaskRec, impl: Implementation) -> float:
+        """Restore cost plus the work left after checkpointed progress
+        (``impl.time`` itself when that is within ``EPS`` of it)."""
+        duration = rec.restore_due + max(0.0, impl.time - rec.progress)
+        return impl.time if abs(duration - impl.time) <= EPS else duration
 
     def _online_impl(self, rec: _TaskRec, impl: Implementation) -> Implementation:
-        duration = rec.restore_due + max(0.0, impl.time - rec.progress)
-        if abs(duration - impl.time) <= EPS:
+        duration = self._online_duration(rec, impl)
+        if duration == impl.time:
             return impl
         if impl.is_hw:
             return Implementation.hw(impl.name, duration, impl.resources)
@@ -612,8 +614,8 @@ class OnlineRuntime(Dispatcher):
         """Shift a projected placement that starts before the task may
         dispatch (ready predecessors but an arrival/fault bound).  The
         resource's projected free time moves with it so later tasks
-        queued behind it stay consistent (undo restores the pre-place
-        values either way)."""
+        queued behind it stay consistent.  :meth:`_place_one` previews
+        this shift with the same two float operations."""
         if ps.start[uid] + EPS < rec.not_before:
             shift = rec.not_before - ps.start[uid]
             ps.start[uid] += shift
@@ -889,22 +891,27 @@ class OnlineRuntime(Dispatcher):
             queue.clear()
         self.pool.clear()
 
+        # a task's position in its job's topological order
+        topo: dict[str, int] = {}
+        for job_id in {self.tasks[uid].job_id for uid in ordered}:
+            for index, uid in enumerate(self.jobs[job_id].uids):
+                topo[uid] = index
+
         def edf_key(uid: str) -> tuple:
-            jr = self.jobs[self.tasks[uid].job_id]
-            d = jr.job.deadline
-            topo = jr.uids.index(uid)
+            job = self.jobs[self.tasks[uid].job_id].job
+            d = job.deadline
             return (
                 d if d is not None else float("inf"),
-                jr.job.arrival,
-                jr.job.job_id,
-                topo,
+                job.arrival,
+                job.job_id,
+                topo[uid],
             )
 
         ordered.sort(key=edf_key)
         placements, _ = self._plan(ordered, now, None)
+        new = set(new_uids)
         completion = max(
-            (pl.end for pl in placements if pl.uid in set(new_uids)),
-            default=now,
+            (pl.end for pl in placements if pl.uid in new), default=now
         )
         return placements, completion
 

@@ -111,3 +111,63 @@ def test_trail_walk_equals_fresh_walk(instance, seed):
     _random_walk(fresh, order, random.Random(seed))
 
     assert fingerprint(detoured) == fingerprint(fresh)
+
+
+def _bits(*values: float) -> list[str]:
+    return [value.hex() for value in values]
+
+
+@SETTINGS
+@given(instances(), st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
+def test_preview_equals_apply(instance, seed, module_reuse, drained):
+    """``earliest_start`` is the start rule the placement ops commit:
+    for every option of every task along a random walk, the previewed
+    start, end and reconfiguration equal apply → read → ``undo_to``
+    bit for bit.  ``drained`` empties the sequence of some regions but
+    keeps their module loaded, as an online projection seeds them."""
+    rng = random.Random(seed)
+    ps = PartialSchedule(
+        instance,
+        communication_overhead=rng.random() < 0.5,
+        enable_module_reuse=module_reuse,
+    )
+    scheduler = ISKScheduler(ISKOptions())
+    ps.trail_mark()
+    for task_id in instance.taskgraph.topological_order():
+        if drained:
+            for region in ps.regions.values():
+                if rng.random() < 0.5:
+                    region.sequence.clear()
+        options = scheduler._task_options(ps, task_id)
+        if not options:
+            break
+        ready = ps.ready_time(task_id)
+        before = fingerprint(ps)
+        for option in options:
+            impl = option.impl
+            start, reconf = ps.earliest_start(ready, impl.name, option.ref)
+            if isinstance(option.ref, str):
+                # the loaded module decides, not the (maybe drained) queue
+                loaded = ps.regions[option.ref].loaded
+                assert (reconf is not None) == (
+                    loaded is not None
+                    and not (module_reuse and loaded == impl.name)
+                )
+            new_id = ps.next_region_id
+            reconfs = len(ps.reconfigurations)
+            mark = ps.trail_mark()
+            scheduler._apply(ps, task_id, option)
+            assert _bits(ps.start[task_id], ps.end[task_id]) == _bits(
+                start, start + impl.time
+            )
+            if option.ref is None:
+                assert ps.placement[task_id].region_id == new_id
+            if reconf is None:
+                assert len(ps.reconfigurations) == reconfs
+            else:
+                rc = ps.reconfigurations[-1]
+                assert rc.controller == reconf[0]
+                assert _bits(rc.start, rc.end) == _bits(*reconf[1:])
+            ps.undo_to(mark)
+            assert fingerprint(ps) == before
+        scheduler._apply(ps, task_id, rng.choice(options))

@@ -103,7 +103,7 @@ class TestControllerTimeline:
     def test_gap_insertion(self, instance):
         ps = PartialSchedule(instance)
         ps._reserve_controller(0, 0.0, 10.0)
-        ps._reserve_controller(0, 30.0, 10.0)
+        ps._reserve_controller(0, 30.0, 40.0)
         # A 5 us job fits the [10, 30) gap.
         assert ps._controller_slot(5.0, 5.0) == (0, 10.0)
         # A 25 us job does not; it goes after the last interval.
