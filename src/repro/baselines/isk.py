@@ -44,23 +44,10 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 
-import numpy as _np
-
 from ..model import Implementation, Instance, Schedule
 from .partial import PartialSchedule
 
 __all__ = ["ISKOptions", "ISKResult", "ISKScheduler", "isk_schedule"]
-
-#: Frontier size from which the search ranks options with the
-#: batched numpy preview instead of the per-option loop.  Below it the
-#: numpy dispatch overhead outweighs the per-option Python arithmetic it
-#: replaces (measured crossover on the Table-I mix: the fill loop still
-#: costs ~1.5us/option either way, so only the max/add/sort
-#: vectorization is on the table and it needs a wide frontier to pay
-#: for dispatch).  Both limbs produce the identical ranked list (same
-#: floats, same tie order), so this is a cost model, not a semantics
-#: switch.
-_VECTOR_PREVIEW_MIN = 48
 
 _INF_SCORE = (float("inf"), float("inf"))
 
@@ -291,57 +278,12 @@ class ISKScheduler:
             ready = state.ready_time(task_id)
         except ValueError:
             return []
-        options = self._task_options(state, task_id)
-        if len(options) >= _VECTOR_PREVIEW_MIN:
-            return self._ranked_options_vector(state, ready, options)
         ranked = [
             (self._preview_key(state, option, ready), option)
-            for option in options
+            for option in self._task_options(state, task_id)
         ]
         ranked.sort(key=lambda item: item[0])
         return ranked
-
-    def _ranked_options_vector(
-        self, state: PartialSchedule, ready: float, options: list[_Option]
-    ) -> list[tuple[tuple[float, float, float, str], _Option]]:
-        """Batched :meth:`_preview_key` over the whole frontier.
-
-        Bit-identical to the scalar loop: starts and reconfiguration
-        ends come from the same ``earliest_start`` calls, the array ops
-        replay the same float operations with the same operand order
-        (one addition for the end time, one for the end-sum, ``max``
-        for the makespan), and ``np.lexsort`` is stable with the same
-        key priority as sorting the Python key tuples.
-        """
-        n = len(options)
-        makespan = state.makespan
-        times = _np.fromiter((o.impl.time for o in options), _np.float64, n)
-        starts = [0.0] * n
-        pre = _np.full(n, makespan, dtype=_np.float64)
-        for j, option in enumerate(options):
-            starts[j], reconf = state.earliest_start(
-                ready, option.impl.name, option.ref
-            )
-            if reconf is not None and reconf[2] > makespan:
-                pre[j] = reconf[2]
-        start = _np.array(starts, dtype=_np.float64)
-        end = start + times
-        ms = _np.maximum(pre, end)
-        end_sum = state.end_sum + end
-        names = [o.impl.name for o in options]
-        # Integer ranks stand in for the string tie-break: the map is
-        # strictly monotone on distinct names, and both lexsort and
-        # Python's sort are stable, so the order is identical.
-        rank_of = {nm: i for i, nm in enumerate(sorted(set(names)))}
-        ranks = _np.fromiter((rank_of[nm] for nm in names), _np.int64, n)
-        order = _np.lexsort((ranks, end, end_sum, ms))
-        ms_l = ms.tolist()
-        es_l = end_sum.tolist()
-        end_l = end.tolist()
-        return [
-            ((ms_l[i], es_l[i], end_l[i], names[i]), options[i])
-            for i in order.tolist()
-        ]
 
     def _greedy_completion(
         self, state: PartialSchedule, window: list[str]

@@ -49,9 +49,13 @@ class EngineError(ValueError):
     """Raised for unknown algorithms and malformed requests."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleRequest:
     """One scheduling job: pure, hashable content.
+
+    Frozen, so :meth:`cache_key` is computed on first use and kept:
+    batch, sweep, service and store all ask for the key of the same
+    request object, and only the first ask hashes.
 
     Attributes
     ----------
@@ -77,6 +81,7 @@ class ScheduleRequest:
     options: dict = field(default_factory=dict)
     seed: int | None = None
     budget: float | None = None
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def key_payload(self) -> dict:
         """The canonical content the cache key is computed over.
@@ -105,7 +110,11 @@ class ScheduleRequest:
 
     def cache_key(self) -> str:
         """Content address of this request (SHA-256 hex digest)."""
-        return content_hash(self.key_payload())
+        key = self._key
+        if key is None:
+            key = content_hash(self.key_payload())
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def request_to_payload(request: ScheduleRequest) -> dict:

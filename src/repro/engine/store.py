@@ -14,6 +14,11 @@ canonical form is byte-stable across processes
 (``repro.model.canonical``), a request computed on one machine hits an
 outcome stored by another.
 
+Both files are compact JSON (sorted keys, no whitespace), which
+CPython writes with its C encoder; an ``indent`` would switch it to
+the pure-Python one.  Entries written indented by earlier versions
+still parse, and their keys are unchanged, so they still hit.
+
 Warm-hit contract: :meth:`ResultStore.get` parses exactly the bytes
 :meth:`ResultStore.put` wrote, so a repeated request returns the stored
 outcome **bit-identically** (``outcome.to_dict()`` equality, and equal
@@ -154,7 +159,7 @@ class ResultStore:
 
     @staticmethod
     def _write_atomic(path: Path, payload: dict) -> None:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )

@@ -41,9 +41,37 @@ def canonical_payload(obj: Any) -> Any:
     """Normalize ``obj`` into the canonical JSON-safe shape (see module
     docstring).  Raises :class:`TypeError` on non-JSON-safe values and
     :class:`ValueError` on non-finite floats."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    # Exact built-in types are recognized by identity first: they are
+    # nearly every value a request holds, and ``isinstance`` against the
+    # ``Mapping`` ABC was the costliest step of the walk.  Subclasses,
+    # mapping proxies and numpy floats fall through to ``isinstance``
+    # and are normalized as the built-in they stand for.
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
         return obj
-    if isinstance(obj, float):
+    if kind is dict or kind is list or kind is tuple or kind is float:
+        pass
+    elif isinstance(obj, (bool, int, str)):
+        return obj
+    elif isinstance(obj, float):
+        kind = float
+    elif isinstance(obj, Mapping):
+        kind = dict
+    elif isinstance(obj, (list, tuple)):
+        kind = list
+    else:
+        raise TypeError(
+            f"{type(obj).__name__!r} is not canonically serializable; "
+            "convert it with .to_dict() first"
+        )
+    if kind is dict:
+        out = {}
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"canonical mapping keys must be str, got {key!r}")
+            out[key] = canonical_payload(value)
+        return out
+    if kind is float:
         if not math.isfinite(obj):
             raise ValueError(f"non-finite float {obj!r} has no canonical form")
         if obj == 0.0:
@@ -51,19 +79,7 @@ def canonical_payload(obj: Any) -> Any:
         if obj.is_integer():
             return int(obj)
         return obj
-    if isinstance(obj, Mapping):
-        out = {}
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"canonical mapping keys must be str, got {key!r}")
-            out[key] = canonical_payload(obj[key])
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [canonical_payload(item) for item in obj]
-    raise TypeError(
-        f"{type(obj).__name__!r} is not canonically serializable; "
-        "convert it with .to_dict() first"
-    )
+    return [canonical_payload(item) for item in obj]
 
 
 def canonical_dumps(obj: Any) -> str:

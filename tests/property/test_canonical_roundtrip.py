@@ -8,13 +8,19 @@ across interpreter processes (no dict-ordering or hash-randomization
 leakage — PYTHONHASHSEED changes neither the bytes nor the digest).
 """
 
+import enum
 import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model import Instance, canonical_dumps, content_hash
 
@@ -112,3 +118,90 @@ def test_content_hash_insensitive_to_construction_order():
     backward = build(["t2", "t1", "t0"])
     assert forward.canonical_json() == backward.canonical_json()
     assert content_hash(forward.to_dict()) == content_hash(backward.to_dict())
+
+
+# -- the encoder on values other than plain dicts, lists, ints and floats ----
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    MID = 1
+    HIGH = 7
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.sampled_from([0, 1, 7]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 3.0, -12.0, 0.5]),
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def disguised(draw, value):
+    """``value`` rebuilt from equivalent non-plain types: ordered dicts,
+    mapping proxies, tuples, IntEnum members, numpy floats, and floats
+    in place of ints."""
+    if isinstance(value, dict):
+        items = [(key, draw(disguised(item))) for key, item in value.items()]
+        wrap = draw(st.sampled_from(["dict", "ordered", "proxy"]))
+        if wrap == "ordered":
+            return OrderedDict(reversed(items))
+        if wrap == "proxy":
+            return MappingProxyType(dict(items))
+        return dict(items)
+    if isinstance(value, list):
+        items = [draw(disguised(item)) for item in value]
+        return tuple(items) if draw(st.booleans()) else items
+    if type(value) is int:
+        choice = draw(st.sampled_from(["int", "float", "enum"]))
+        if choice == "float":
+            return float(value)
+        if choice == "enum" and value in set(Level):
+            return Level(value)
+        return value
+    if type(value) is float and draw(st.booleans()):
+        return np.float64(value)
+    return value
+
+
+@given(st.data(), json_values)
+@settings(max_examples=200, deadline=None)
+def test_equivalent_types_encode_to_the_same_bytes(data, value):
+    assert canonical_dumps(data.draw(disguised(value))) == canonical_dumps(value)
+
+
+def test_scalar_normal_forms():
+    assert canonical_dumps([True, False, None]) == "[true,false,null]"
+    assert canonical_dumps([-0.0, 0.0, np.float64(-0.0)]) == "[0,0,0]"
+    assert canonical_dumps([3.0, np.float64(-12.0), Level.HIGH]) == "[3,-12,7]"
+    assert canonical_dumps(np.float64(0.1)) == canonical_dumps(0.1) == "0.1"
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ({1: "x"}, TypeError, "canonical mapping keys must be str, got 1"),
+        (OrderedDict([(("a",), 1)]), TypeError, "mapping keys must be str"),
+        ({"a": MappingProxyType({2.5: 1})}, TypeError, "got 2.5"),
+        ([float("nan")], ValueError, "non-finite float nan has no canonical form"),
+        ({"a": (1, float("-inf"))}, ValueError, "non-finite float -inf"),
+        (np.float64("inf"), ValueError, "non-finite float"),
+        ({"a": {1, 2}}, TypeError, "'set' is not canonically serializable"),
+        ([b"x"], TypeError, "'bytes' is not canonically serializable"),
+        (np.int64(3), TypeError, "'int64' is not canonically serializable"),
+    ],
+)
+def test_unencodable_values_raise(value, error, message):
+    with pytest.raises(error, match=message):
+        canonical_dumps(value)

@@ -6,6 +6,8 @@ without invoking any backend.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,37 @@ def test_provenance_sidecar(store, instance):
     sidecar = json.loads((store.entry_dir(request) / "request.json").read_text())
     assert sidecar["algorithm"] == "list"
     assert sidecar["instance_hash"] == instance.content_hash()
+
+
+INDENTED_STORE = Path(__file__).resolve().parents[1] / "fixtures" / "store_indented"
+
+
+def test_indented_entry_still_hits(tmp_path, monkeypatch):
+    """An entry written with ``indent=2`` before stores switched to
+    compact JSON is still found under the same key and read back
+    unchanged."""
+    shutil.copytree(INDENTED_STORE, tmp_path / "cache")
+    store = ResultStore(tmp_path / "cache")
+    request = ScheduleRequest(
+        paper_instance(6, seed=3), "pa", options={"floorplan": False}
+    )
+    (stored_path,) = (tmp_path / "cache").glob("*/*/outcome.json")
+    assert stored_path.parent.name == request.cache_key()
+    monkeypatch.setattr(
+        get_backend("pa").__class__, "run", lambda *a, **k: pytest.fail("ran")
+    )
+    cached = store.get(request)
+    assert store.stats["hits"] == 1
+    assert cached.to_dict() == json.loads(stored_path.read_text())
+
+
+def test_entries_are_compact_json(store, instance):
+    request = ScheduleRequest(instance, "list")
+    store.put(request, get_backend("list").run(request))
+    for name in ("outcome.json", "request.json"):
+        text = (store.entry_dir(request) / name).read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_clear(store, instance):
