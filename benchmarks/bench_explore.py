@@ -143,9 +143,6 @@ def _warmstart_probe(profile: str) -> dict:
         "decisions_identical": _decision_signature(warm)
         == _decision_signature(reports[False]),
         "planner_cache_hits": warm.planner_stats.get("cache_hits", 0),
-        "planner_dominance_hits": warm.planner_stats.get(
-            "dominance_hits", 0
-        ),
     }
 
 
@@ -195,9 +192,7 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
         assert probe["decisions_identical"], (
             "warm-start sweep selected different schedules"
         )
-        warm_work = (
-            probe["planner_cache_hits"] + probe["planner_dominance_hits"]
-        )
+        warm_work = probe["planner_cache_hits"]
         assert warm_work > 0, "warm starts did no measurable work"
         warmstart_speedup = (
             probe["independent_cpu_s"] / probe["warm_starts_cpu_s"]
@@ -247,7 +242,6 @@ def run_explore_benchmark(profile: str = "quick") -> dict:
             },
             "warm_start_work": {
                 "planner_cache_hits": probe["planner_cache_hits"],
-                "planner_dominance_hits": probe["planner_dominance_hits"],
             },
             "front": cold.front,
             "gates": {

@@ -27,8 +27,8 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
     Columns: group, name, pa_makespan, pa_r_makespan, is1_makespan,
     is5_makespan, pa_scheduling_time, pa_floorplanning_time, is1_time,
     is5_time, pa_r_budget, pa_r_iterations, pa_feasible, plus the
-    floorplanner cache counters (queries / exact / dominance /
-    candidate-memo hits and engine vs query wall-clock) and the IS-k
+    floorplanner cache counters (queries / exact / candidate-memo
+    hits and engine vs query wall-clock) and the IS-k
     search counters (nodes, bound prunes, incumbent seeds,
     fallback completions, undo-trail high-water mark, fan-out), and the
     PA energy breakdown under the reference ZedBoard power model
@@ -43,7 +43,7 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
             "pa_floorplanning_time", "is1_time", "is5_time",
             "pa_r_budget", "pa_r_iterations", "pa_feasible",
             "floorplan_queries", "floorplan_exact_hits",
-            "floorplan_dominance_hits", "floorplan_candidate_memo_hits",
+            "floorplan_candidate_memo_hits",
             "floorplan_engine_time", "floorplan_query_time",
             "is1_nodes", "is5_nodes", "is5_bound_pruned",
             "is5_incumbent_seeds", "is5_fallback_completions",
@@ -60,7 +60,7 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
                 r.pa_floorplanning_time, r.is1_time, r.is5_time,
                 r.pa_r_budget, r.pa_r_iterations, int(r.pa_feasible),
                 r.floorplan_queries, r.floorplan_exact_hits,
-                r.floorplan_dominance_hits, r.floorplan_candidate_memo_hits,
+                r.floorplan_candidate_memo_hits,
                 r.floorplan_engine_time, r.floorplan_query_time,
                 r.is1_nodes, r.is5_nodes, r.is5_bound_pruned,
                 r.is5_incumbent_seeds, r.is5_fallback_completions,

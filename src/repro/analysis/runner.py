@@ -129,7 +129,6 @@ class InstanceRecord:
     # pre-existing quality.json files loadable via from_json.
     floorplan_queries: int = 0
     floorplan_exact_hits: int = 0
-    floorplan_dominance_hits: int = 0
     floorplan_candidate_memo_hits: int = 0
     floorplan_engine_time: float = 0.0
     floorplan_query_time: float = 0.0
@@ -291,10 +290,10 @@ class QualityResults:
     def render_cache_stats(self) -> str:
         """Floorplanner fast-path effectiveness, aggregated per group.
 
-        ``hit %`` counts every query answered without an engine run
-        (exact-key plus dominance-lattice hits); ``engine [s]`` is the
-        summed time actually spent in backtracking / MILP, versus the
-        total wall-clock of all feasibility queries in ``query [s]``.
+        ``hit %`` counts every query answered by the exact-key cache
+        without an engine run; ``engine [s]`` is the summed time
+        actually spent in backtracking / MILP, versus the total
+        wall-clock of all feasibility queries in ``query [s]``.
         ``dfs nodes`` is the summed DFS work, and ``budget stops``
         counts the verdicts its node budget decided (infeasible,
         unproven): PA shrinks on those as on a proof.
@@ -306,19 +305,18 @@ class QualityResults:
                 continue
             queries = sum(r.floorplan_queries for r in group)
             exact = sum(r.floorplan_exact_hits for r in group)
-            dom = sum(r.floorplan_dominance_hits for r in group)
             memo = sum(r.floorplan_candidate_memo_hits for r in group)
             engine = sum(r.floorplan_engine_time for r in group)
             query = sum(r.floorplan_query_time for r in group)
             nodes = sum(r.floorplan_dfs_nodes for r in group)
             stops = sum(r.floorplan_budget_exhausted for r in group)
-            hit_pct = 100.0 * (exact + dom) / queries if queries else 0.0
+            hit_pct = 100.0 * exact / queries if queries else 0.0
             rows.append(
-                (size, queries, exact, dom, f"{hit_pct:.1f}", memo,
+                (size, queries, exact, f"{hit_pct:.1f}", memo,
                  f"{engine:.3f}", f"{query:.3f}", nodes, stops)
             )
         return render_table(
-            ["# Tasks", "queries", "exact hits", "dom hits", "hit %",
+            ["# Tasks", "queries", "exact hits", "hit %",
              "cand memo", "engine [s]", "query [s]", "dfs nodes",
              "budget stops"],
             rows,
@@ -432,7 +430,7 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
 
     All four runs dispatch through the engine registry
     (``repro.engine``); the shared floorplanner is passed as execution
-    context so PA and PA-R reuse one dominance cache, exactly as the
+    context so PA and PA-R reuse one floorplan cache, exactly as the
     legacy direct-call harness did.
     """
     config, instance, size = item.config, item.instance, item.group
@@ -521,7 +519,6 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
         pa_r_iterations=par.iterations,
         floorplan_queries=fp_stats.get("queries", 0),
         floorplan_exact_hits=fp_stats.get("cache_hits", 0),
-        floorplan_dominance_hits=fp_stats.get("dominance_hits", 0),
         floorplan_candidate_memo_hits=fp_stats.get("candidate_memo_hits", 0),
         floorplan_engine_time=fp_stats.get("engine_time", 0.0),
         floorplan_query_time=fp_stats.get("query_time", 0.0),

@@ -31,7 +31,7 @@ from . import perf
 from .analysis import render_gantt
 from .analysis.runner import ExperimentConfig, run_convergence, run_quality
 from .benchgen import paper_instance
-from .core import PAOptions, SchedulerTrace, do_schedule
+from .core import PAOptions, SchedulerTrace, pa_schedule
 from .engine import (
     DEFAULT_EXHAUSTIVE_TASK_LIMIT,
     DEFAULT_STORE_ROOT,
@@ -52,7 +52,7 @@ __all__ = ["main"]
 def _cache_stats_line(stats: dict) -> str:
     return (
         f"floorplan cache: queries={stats['queries']} "
-        f"exact_hits={stats['cache_hits']} dominance_hits={stats['dominance_hits']} "
+        f"exact_hits={stats['cache_hits']} "
         f"candidate_memo_hits={stats['candidate_memo_hits']} "
         f"engine={stats['engine_time']:.3f}s query={stats['query_time']:.3f}s "
         f"dfs_nodes={stats.get('dfs_nodes', 0)} "
@@ -587,7 +587,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     trace = SchedulerTrace()
-    schedule = do_schedule(instance, PAOptions(), trace=trace)
+    planner = Floorplanner.for_architecture(instance.architecture)
+    schedule = pa_schedule(
+        instance, PAOptions(), floorplanner=planner, trace=trace
+    ).schedule
     print(f"PA makespan {schedule.makespan:.1f}; "
           f"decision profile: {trace.summary()}")
     if args.task:

@@ -151,8 +151,14 @@ def pa_schedule(
     options: PAOptions | None = None,
     floorplanner: FloorplanChecker | None = None,
     rng: random.Random | None = None,
+    trace=None,
 ) -> PAResult:
-    """The deterministic PA algorithm with the Section V-H loop."""
+    """The deterministic PA algorithm with the Section V-H loop.
+
+    A ``trace`` keeps the step decisions of the final iteration (the
+    ones that built the returned schedule) plus one ``floorplan`` event
+    per check of the loop.
+    """
     options = options or PAOptions()
     arch = instance.architecture
     scheduling_time = 0.0
@@ -164,7 +170,10 @@ def pa_schedule(
     iteration = 0
     for iteration in range(options.max_shrink_iterations):
         t0 = _time.perf_counter()
-        schedule = do_schedule(instance, options, architecture=arch, rng=rng)
+        steps_from = len(trace.events) if trace is not None else 0
+        schedule = do_schedule(
+            instance, options, architecture=arch, rng=rng, trace=trace
+        )
         scheduling_time += _time.perf_counter() - t0
 
         if floorplanner is None:
@@ -173,10 +182,24 @@ def pa_schedule(
         with perf.phase("floorplan"):
             result = floorplanner.check(list(schedule.regions.values()))
         floorplanning_time += _time.perf_counter() - t0
+        if trace is not None:
+            trace.record(
+                "floorplan",
+                "check",
+                iteration=iteration,
+                regions=len(schedule.regions),
+                feasible=result.feasible,
+                proven=result.proven,
+                engine=result.engine,
+            )
         if result.feasible:
             feasible = True
             floorplan = result
             break
+        if trace is not None and iteration + 1 < options.max_shrink_iterations:
+            # The rejected region set is not the one returned: keep only
+            # its floorplan verdict.
+            del trace.events[steps_from:-1]
         # Virtually reduce the available FPGA resources and retry.
         arch = arch.shrunk(options.shrink_factor)
 

@@ -6,6 +6,8 @@ step V-A and why, whether a region was created / reused / the task
 demoted, which promotions step V-D made, the λ_p values of step V-F,
 and every reconfiguration placement of step V-G.  This is the answer to
 "why is my task in software?" without stepping through the scheduler.
+Passed to :func:`repro.core.pa_schedule`, it also records each Section
+V-H floorplan verdict.
 
 Tracing is opt-in and costs nothing when off (a ``None`` trace makes
 ``record`` a no-op at the call sites).
@@ -22,8 +24,8 @@ __all__ = ["TraceEvent", "SchedulerTrace"]
 @dataclass(frozen=True)
 class TraceEvent:
     """One decision: ``phase`` (selection/regions/balancing/mapping/
-    reconfiguration), ``event`` (phase-specific verb), the ``task`` it
-    concerns (if any) and free-form ``data``."""
+    reconfiguration/floorplan), ``event`` (phase-specific verb), the
+    ``task`` it concerns (if any) and free-form ``data``."""
 
     phase: str
     event: str

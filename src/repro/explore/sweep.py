@@ -44,7 +44,6 @@ OBJECTIVES = ("makespan", "area", "energy")
 _PLANNER_STAT_KEYS = (
     "queries",
     "cache_hits",
-    "dominance_hits",
     "candidate_memo_hits",
 )
 
@@ -197,8 +196,7 @@ class SweepReport:
             lines.append(
                 "floorplanner: "
                 f"{self.planner_stats['queries']} queries, "
-                f"{self.planner_stats.get('cache_hits', 0)} cache hits, "
-                f"{self.planner_stats.get('dominance_hits', 0)} dominance hits"
+                f"{self.planner_stats.get('cache_hits', 0)} cache hits"
             )
         return "\n".join(lines)
 

@@ -8,21 +8,9 @@ the same region set, so caching "amortizes the computational cost of
 the floorplanner over different scheduling iterations" exactly as
 Section VI intends.
 
-Two cache layers answer a query before any engine runs:
-
-1. the *exact-key* cache (PR 2) — a dict keyed on the sorted demand
-   multiset, and
-2. the *monotone dominance* index — placement feasibility is monotone
-   in the region demands, so a cached **feasible** multiset answers any
-   query whose demands inject component-wise into it (each query demand
-   fits in a distinct cached demand: reuse the matched placements), and
-   a cached **proven-infeasible** multiset answers any query that
-   dominates it (each cached demand injects into a distinct query
-   demand: a placement of the query would induce one for the cached
-   set).  The index stores sorted demand signatures with per-entry
-   aggregate totals as a cheap lattice pre-filter; the injective
-   matching itself is an augmenting-path bipartite matching over the
-   component-wise ``fits_in`` order.
+One cache answers a query before any engine runs: a dict keyed on the
+sorted demand multiset.  A hit re-binds the cached placements to the
+query's region ids (:func:`_rebind`).
 """
 
 from __future__ import annotations
@@ -33,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ..model import Architecture, Region, ResourceVector
 from .backtrack import counting_precheck, solve_backtracking
-from .device import FabricDevice, FabricDevice as _Device, zynq_7z020
+from .device import FabricDevice, zynq_7z020
 from .milp import solve_milp
 from .placements import Placement, candidate_placements
 
@@ -129,106 +117,6 @@ def _synthetic_device(arch: Architecture) -> FabricDevice:
     )
 
 
-@dataclass(frozen=True)
-class _DominanceEntry:
-    """One cached verdict in the monotone index.
-
-    ``demands`` keeps the query-order multiset (``placements`` is
-    aligned with it so a dominance hit can hand real rectangles back).
-    The matching itself runs on ``vecs`` — plain integer tuples over
-    this entry's ``axes`` (its sorted resource types), pre-sorted
-    largest-first with ``order`` mapping back to ``demands`` indices —
-    because tuple comparisons are an order of magnitude cheaper than
-    dict-based :meth:`ResourceVector.fits_in` and the probe is on the
-    hot path of every PA-R floorplan query.
-    """
-
-    demands: tuple[ResourceVector, ...]
-    result: "FloorplanResult"
-    placements: tuple[Placement, ...] | None
-    axes: tuple[str, ...]
-    vecs: tuple[tuple[int, ...], ...]  # sorted by (sum, tuple) descending
-    order: tuple[int, ...]  # vecs[k] == tuple-of demands[order[k]]
-    totals: tuple[int, ...]  # component-wise sum over axes
-
-
-def _axes_of(demands: Sequence[ResourceVector]) -> tuple[str, ...]:
-    types: set[str] = set()
-    for demand in demands:
-        types.update(demand)
-    return tuple(sorted(types))
-
-
-def _sorted_tuples(
-    demands: Sequence[ResourceVector], axes: tuple[str, ...]
-) -> tuple[list[tuple[int, ...]], list[int], tuple[int, ...]]:
-    """``(vecs, order, totals)`` over ``axes``, largest-first.
-
-    A demand with a resource type outside ``axes`` would silently lose
-    that component in the projection; callers must check support first
-    (see :meth:`Floorplanner._query_view`).
-    """
-    raw = [tuple(d[a] for a in axes) for d in demands]
-    order = sorted(range(len(raw)), key=lambda i: (-sum(raw[i]), raw[i]))
-    vecs = [raw[i] for i in order]
-    totals = tuple(sum(col) for col in zip(*raw)) if raw else (0,) * len(axes)
-    return vecs, order, totals
-
-
-def _tfits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(small, big))
-
-
-def _match_tuples(
-    smalls: Sequence[tuple[int, ...]], bigs: Sequence[tuple[int, ...]]
-) -> list[int] | None:
-    """Injective matching ``smalls[k] -> bigs[m[k]]`` under ``_tfits``;
-    ``None`` when impossible.  Both sides sorted largest-first.
-
-    Fast path: a single two-pointer sweep (each small takes the first
-    still-free big that fits).  On the uniformly-shrunk multisets PA-R
-    produces this almost always succeeds in O(n) comparisons; when it
-    does not, fall back to full augmenting-path bipartite matching
-    (region sets are a few dozen at most, so the worst case is still
-    trivial next to one engine solve).
-    """
-    if len(smalls) > len(bigs):
-        return None
-    match = [-1] * len(smalls)
-    j = 0
-    for k, small in enumerate(smalls):
-        while j < len(bigs) and not _tfits(small, bigs[j]):
-            j += 1
-        if j == len(bigs):
-            break
-        match[k] = j
-        j += 1
-    else:
-        return match
-
-    owner = [-1] * len(bigs)  # big index -> small index
-
-    def assign(k: int, banned: set[int]) -> bool:
-        small = smalls[k]
-        for j, big in enumerate(bigs):
-            if j in banned or not _tfits(small, big):
-                continue
-            banned.add(j)
-            if owner[j] == -1 or assign(owner[j], banned):
-                owner[j] = k
-                return True
-        return False
-
-    for k in range(len(smalls)):
-        if not assign(k, set()):
-            return None
-    match = [-1] * len(smalls)
-    for j, k in enumerate(owner):
-        if k >= 0:
-            match[k] = j
-    return match
-
-
 class Floorplanner:
     """Feasibility oracle over a :class:`FabricDevice`.
 
@@ -247,20 +135,11 @@ class Floorplanner:
         Cap on feasible placements enumerated per region.
     cache:
         Exact-key result cache on the demand multiset.
-    dominance:
-        Monotone dominance index in front of the engines (requires
-        ``cache``); ``False`` reproduces the PR-2 exact-key-only
-        behaviour, which the cache benchmarks compare against.
 
     ``stats["dfs_nodes"]`` sums the DFS nodes of every engine run, and
     ``stats["budget_exhausted"]`` counts the verdicts a budget decided
     (infeasible, unproven).
     """
-
-    #: Per-direction cap on the dominance index; oldest entries are
-    #: evicted first.  Probing is a linear scan, so the cap also bounds
-    #: the per-query overhead.
-    DOMINANCE_LIMIT = 512
 
     def __init__(
         self,
@@ -269,7 +148,6 @@ class Floorplanner:
         node_limit: int = 50_000,
         max_candidates: int | None = 400,
         cache: bool = True,
-        dominance: bool = True,
     ) -> None:
         if engine not in ("backtrack", "milp", "both"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -278,15 +156,11 @@ class Floorplanner:
         self.node_limit = node_limit
         self.max_candidates = max_candidates
         self._cache: dict | None = {} if cache else None
-        self.dominance = dominance and cache
-        self._dom_feasible: list[_DominanceEntry] = []
-        self._dom_infeasible: list[_DominanceEntry] = []
         self.stats = {
             "queries": 0,
             "cache_hits": 0,
+            # Always 0; benchmarks/e2e/tracing.py still reads it.
             "dominance_hits": 0,
-            "dominance_feasible_hits": 0,
-            "dominance_infeasible_hits": 0,
             "candidate_memo_hits": 0,
             "engine_time": 0.0,
             "query_time": 0.0,
@@ -313,18 +187,12 @@ class Floorplanner:
             self.stats["cache_hits"] += 1
             cached: FloorplanResult = self._cache[key]
             return self._finish(_rebind(cached, ids, demands, self.device), t_query)
-
-        if self.dominance:
-            hit = self._dominance_probe(ids, demands)
-            if hit is not None:
-                return self._finish(hit, t_query)
-
         return self._finish(self._solve_and_record(ids, demands, key), t_query)
 
     def _solve_and_record(
         self, ids: list[str], demands: list[ResourceVector], key: tuple
     ) -> FloorplanResult:
-        """Run the engines on a cache/index miss and index the verdict."""
+        """Run the engines on a cache miss and cache the verdict."""
         memo_before = self.device.candidate_cache_hits
         result = self._solve(ids, demands)
         self.stats["candidate_memo_hits"] += (
@@ -333,8 +201,6 @@ class Floorplanner:
         self.stats["engine_time"] += result.stats.get("engine_elapsed", 0.0)
         if self._cache is not None:
             self._cache[key] = result
-            if self.dominance:
-                self._dominance_insert(ids, demands, result)
         self.stats["feasible" if result.feasible else "infeasible"] += 1
         if result.stats.get("reason") == "budget":
             self.stats["budget_exhausted"] += 1
@@ -344,153 +210,6 @@ class Floorplanner:
         result.elapsed = _time.perf_counter() - t_query
         self.stats["query_time"] += result.elapsed
         return result
-
-    # -- dominance index ----------------------------------------------------
-
-    @staticmethod
-    def _query_view(
-        demands: list[ResourceVector],
-        axes: tuple[str, ...],
-        cache: dict,
-    ):
-        """The query's sorted tuples over an entry's axes (memoized per
-        probe — consecutive index entries usually share one axis set).
-
-        ``None`` when some query demand has a resource type outside
-        ``axes``: the projection would drop that component, so the view
-        is unusable for containment tests in either direction (as the
-        "smalls" the lost component may exceed the big's zero; as the
-        "bigs" the entry's smalls are zero there anyway, but a fit
-        verdict from a lossy projection of the *query total* prefilter
-        would be wrong — bail out and let the engine decide).
-        """
-        view = cache.get(axes, False)
-        if view is not False:
-            return view
-        if any(any(t not in axes for t in d) for d in demands):
-            view = None
-        else:
-            view = _sorted_tuples(demands, axes)
-        cache[axes] = view
-        return view
-
-    def _probe_feasible_entry(
-        self,
-        entry: _DominanceEntry,
-        ids: list[str],
-        demands: list[ResourceVector],
-        n: int,
-        views: dict,
-    ) -> FloorplanResult | None:
-        """Exact feasible-superset test of one entry."""
-        if n > len(entry.demands):
-            return None
-        view = self._query_view(demands, entry.axes, views)
-        if view is None:
-            return None
-        vecs, order, totals = view
-        if not _tfits(totals, entry.totals):
-            return None
-        match = _match_tuples(vecs, entry.vecs)
-        if match is None:
-            return None
-        self.stats["dominance_hits"] += 1
-        self.stats["dominance_feasible_hits"] += 1
-        placements = None
-        if entry.placements is not None:
-            # vecs[k] is demands[order[k]] matched onto
-            # entry.demands[entry.order[match[k]]].
-            placements = {}
-            for k, j in enumerate(match):
-                placements[ids[order[k]]] = entry.placements[entry.order[j]]
-        return FloorplanResult(
-            feasible=True,
-            placements=placements,
-            proven=True,
-            engine=entry.result.engine + "+dom",
-            stats=dict(entry.result.stats),
-        )
-
-    def _probe_infeasible_entry(
-        self,
-        entry: _DominanceEntry,
-        demands: list[ResourceVector],
-        n: int,
-        views: dict,
-    ) -> FloorplanResult | None:
-        """Exact infeasible-subset test of one entry."""
-        if len(entry.demands) > n:
-            return None
-        view = self._query_view(demands, entry.axes, views)
-        if view is None:
-            return None
-        vecs, _order, totals = view
-        if not _tfits(entry.totals, totals):
-            return None
-        if _match_tuples(entry.vecs, vecs) is None:
-            return None
-        self.stats["dominance_hits"] += 1
-        self.stats["dominance_infeasible_hits"] += 1
-        return FloorplanResult(
-            feasible=False,
-            placements=None,
-            proven=True,
-            engine=entry.result.engine + "+dom",
-            stats=dict(entry.result.stats),
-        )
-
-    def _dominance_probe(
-        self, ids: list[str], demands: list[ResourceVector]
-    ) -> FloorplanResult | None:
-        """Scan both stores newest-first; the first dominating entry answers."""
-        n = len(demands)
-        views: dict = {}
-        # Feasible superset: every query demand fits a distinct cached one.
-        for entry in reversed(self._dom_feasible):
-            hit = self._probe_feasible_entry(entry, ids, demands, n, views)
-            if hit is not None:
-                return hit
-        # Infeasible subset: every cached demand fits a distinct query one.
-        for entry in reversed(self._dom_infeasible):
-            hit = self._probe_infeasible_entry(entry, demands, n, views)
-            if hit is not None:
-                return hit
-        return None
-
-    def _dominance_insert(
-        self, ids: list[str], demands: list[ResourceVector], result: FloorplanResult
-    ) -> None:
-        """Index a fresh verdict when it carries monotone evidence.
-
-        Feasible results always do (the found placements witness every
-        dominated query); infeasible ones only when *proven* — a budget
-        exhaustion says nothing about supersets.
-        """
-        if result.feasible:
-            placements = None
-            if result.placements is not None:
-                placements = tuple(result.placements[i] for i in ids)
-            store = self._dom_feasible
-        elif result.proven:
-            placements = None
-            store = self._dom_infeasible
-        else:
-            return
-        axes = _axes_of(demands)
-        vecs, order, totals = _sorted_tuples(demands, axes)
-        store.append(
-            _DominanceEntry(
-                demands=tuple(demands),
-                result=result,
-                placements=placements,
-                axes=axes,
-                vecs=tuple(vecs),
-                order=tuple(order),
-                totals=totals,
-            )
-        )
-        if len(store) > self.DOMINANCE_LIMIT:
-            del store[0]
 
     # -- warm start (parallel PA-R) -----------------------------------------
 
@@ -503,7 +222,7 @@ class Floorplanner:
     def absorb(
         self, entries: Iterable[tuple[Sequence[ResourceVector], FloorplanResult]]
     ) -> int:
-        """Warm both cache layers with results computed elsewhere.
+        """Warm the cache with results computed elsewhere.
 
         ``entries`` are ``(demands, result)`` pairs — the region
         signatures (feasible and infeasible verdicts alike) shipped
@@ -524,13 +243,6 @@ class Floorplanner:
             if key in self._cache:
                 continue
             self._cache[key] = result
-            if self.dominance:
-                ids = (
-                    list(result.placements)
-                    if result.placements is not None
-                    else [f"R{i}" for i in range(len(demand_list))]
-                )
-                self._dominance_insert(ids, demand_list, result)
             absorbed += 1
         return absorbed
 

@@ -127,9 +127,8 @@ def shrunk(draw, demands):
 def test_feasibility_monotone_under_shrinking(data):
     """Feasible stays feasible when every demand shrinks component-wise.
 
-    This is the invariant the dominance cache rests on, checked
-    against the raw engine (no caches anywhere): a placement of the
-    larger set is a placement of the smaller one.
+    Checked against the raw engine (no caches anywhere): a placement
+    of the larger set is a placement of the smaller one.
     """
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
@@ -146,14 +145,16 @@ def test_feasibility_monotone_under_shrinking(data):
 
 @SETTINGS
 @given(st.data())
-def test_dominance_answer_matches_cold_solve(data):
-    """A dominance-cache answer agrees with an uncached solve.
+def test_warm_answer_matches_cold_solve(data):
+    """A warm planner's answer agrees with an uncached solve.
 
-    The warm planner is seeded with the base set, then asked about a
-    shrunk variant (and about the variant with one region dropped); a
-    cold planner with ``cache=False`` and no budget limits is the
-    ground truth.  Generous ``max_candidates`` keeps every cold
-    verdict proven, so agreement is exact, not probabilistic.
+    The warm planner is seeded with the base set, then asked about the
+    base set in another order (an exact-key hit, so ``_rebind`` maps the
+    cached placements onto the new region ids), a shrunk variant and
+    the variant with one region dropped; a cold planner with
+    ``cache=False`` and no budget limits is the ground truth.  Generous
+    ``max_candidates`` keeps every cold verdict proven, so agreement is
+    exact, not probabilistic.
     """
     device = data.draw(devices())
     demands = data.draw(demand_sets(device))
@@ -161,7 +162,7 @@ def test_dominance_answer_matches_cold_solve(data):
     cold = Floorplanner(device, cache=False, max_candidates=None)
     warm.check(demands)
 
-    queries = [data.draw(shrunk(demands))]
+    queries = [data.draw(st.permutations(demands)), data.draw(shrunk(demands))]
     if len(demands) > 1:
         queries.append(demands[:-1])
     for query in queries:

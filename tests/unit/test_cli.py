@@ -276,6 +276,31 @@ class TestExplain:
         assert "[regions]" in out
         assert "[selection]" not in out.split("\n\n", 1)[-1]
 
+    def test_explains_the_schedule_pa_serves(self, tmp_path, capsys):
+        """On an instance where PA shrinks, explain follows the floorplan
+        loop to the schedule ``repro schedule --algorithm pa`` returns."""
+        from repro.benchgen import fleet_scenario
+        from repro.fleet import device_subinstance
+
+        instance, fleet = fleet_scenario(24, 9)
+        on_d1 = {task_id: "d1" for task_id in instance.taskgraph.task_ids}
+        sub = device_subinstance(instance, fleet, on_d1, "d1")
+        path = tmp_path / "sub.json"
+        sub.to_json(str(path))
+        sched_path = tmp_path / "sched.json"
+        assert main(
+            ["schedule", str(path), "--algorithm", "pa", "-o", str(sched_path)]
+        ) == 0
+        served = json.loads(sched_path.read_text())
+        capsys.readouterr()
+
+        assert main(["explain", str(path), "--phase", "floorplan"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"PA makespan {served['makespan']:.1f};")
+        checks = [line for line in out.splitlines() if line.startswith("[floorplan]")]
+        assert len(checks) == 3  # two shrinks, then a feasible region set
+        assert f"regions={len(served['regions'])}, feasible=True" in checks[-1]
+
 
 class TestSimulate:
     def test_plain_replay(self, instance_file, schedule_file, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for the floorplanner's exact-key + dominance cache stack."""
+"""Unit tests for the floorplanner's exact-key cache and its counters."""
 
 from repro.benchgen import paper_instance
 from repro.floorplan import Floorplanner, small_device
@@ -9,74 +9,15 @@ def _demands(*specs):
     return [ResourceVector(spec) for spec in specs]
 
 
-class TestDominanceCache:
-    def test_shrunk_query_hits_without_engine(self):
+class TestExactKeyCache:
+    def test_exact_key_hit(self):
         device = small_device(rows=2, clb=8, bram=2, dsp=2)
         planner = Floorplanner(device)
-        base = planner.check(_demands({"CLB": 4}, {"CLB": 3, "BRAM": 1}))
-        assert base.feasible
-
-        hit = planner.check(_demands({"CLB": 2}, {"CLB": 1, "BRAM": 1}))
-        assert hit.feasible and hit.proven
-        assert hit.engine.endswith("+dom")
-        assert planner.stats["dominance_hits"] == 1
-        assert planner.stats["dominance_feasible_hits"] == 1
-        # A dominance hit hands back real, demand-satisfying rectangles.
-        placements = list(hit.placements.values())
-        assert len(placements) == 2
-        for i, a in enumerate(placements):
-            for b in placements[i + 1 :]:
-                assert not a.overlaps(b)
-
-    def test_superset_of_infeasible_hits(self):
-        device = small_device(rows=1, clb=4, bram=0, dsp=0)
-        planner = Floorplanner(device)
-        base = planner.check(_demands({"CLB": 500}))  # capacity is 400
-        assert not base.feasible and base.proven
-
-        hit = planner.check(_demands({"CLB": 500}, {"CLB": 1}))
-        assert not hit.feasible and hit.proven
-        assert hit.engine.endswith("+dom")
-        assert planner.stats["dominance_infeasible_hits"] == 1
-
-    def test_exact_key_probed_before_dominance(self):
-        device = small_device(rows=2, clb=8, bram=2, dsp=2)
-        planner = Floorplanner(device)
-        planner.check(_demands({"CLB": 4}))
-        planner.check(_demands({"CLB": 4}))
+        first = planner.check(_demands({"CLB": 4}))
+        again = planner.check(_demands({"CLB": 4}))
         assert planner.stats["cache_hits"] == 1
-        assert planner.stats["dominance_hits"] == 0
-
-    def test_dominance_disabled_reproduces_exact_only(self):
-        device = small_device(rows=2, clb=8, bram=2, dsp=2)
-        planner = Floorplanner(device, dominance=False)
-        planner.check(_demands({"CLB": 4}))
-        smaller = planner.check(_demands({"CLB": 2}))
-        assert smaller.feasible
-        assert not smaller.engine.endswith("+dom")
-        assert planner.stats["dominance_hits"] == 0
-
-    def test_unproven_infeasible_not_indexed(self):
-        device = small_device(rows=2, clb=8, bram=2, dsp=2)
-        planner = Floorplanner(device)
-        from repro.floorplan.floorplanner import FloorplanResult
-
-        planner._dominance_insert(
-            ["R0"],
-            _demands({"CLB": 4}),
-            FloorplanResult(
-                feasible=False, placements=None, proven=False, engine="backtrack"
-            ),
-        )
-        assert not planner._dom_infeasible
-
-    def test_eviction_respects_limit(self):
-        device = small_device(rows=2, clb=8, bram=2, dsp=2)
-        planner = Floorplanner(device)
-        planner.DOMINANCE_LIMIT = 4
-        for clb in range(1, 9):
-            planner.check(_demands({"CLB": clb}))
-        assert len(planner._dom_feasible) <= 4
+        assert again.feasible == first.feasible
+        assert again.engine == first.engine + "+cache"
 
 
 class TestStatsAndElapsed:
@@ -89,8 +30,6 @@ class TestStatsAndElapsed:
         assert cached.elapsed > 0.0
         capacity = planner.check(_demands({"CLB": 10_000}))
         assert capacity.engine == "capacity" and capacity.elapsed > 0.0
-        dominated = planner.check(_demands({"CLB": 2}))
-        assert dominated.engine.endswith("+dom") and dominated.elapsed > 0.0
 
     def test_query_time_accumulates(self):
         device = small_device(rows=2, clb=8, bram=2, dsp=2)
@@ -125,9 +64,6 @@ class TestWarmStart:
         hit = sink.check(_demands({"CLB": 4}, {"BRAM": 1}))
         assert hit.feasible
         assert sink.stats["cache_hits"] == 1
-        # Absorbed feasible entries also join the dominance index.
-        dominated = sink.check(_demands({"CLB": 1}, {"BRAM": 1}))
-        assert dominated.engine.endswith("+dom")
 
 
 class TestDeviceCache:
